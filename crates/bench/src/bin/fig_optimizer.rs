@@ -115,10 +115,14 @@ fn main() {
                     // strategies; the planner tests prove that).
                     let extract = strategy == Strategy::Auto(1024);
                     let label = format!("{qid}-{}", strategy.label());
-                    let run = ntga_core::execute_on(
-                        plane, strategy, &engine, &tq.query, input, &label, extract,
-                    )
-                    .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+                    let run = strategy
+                        .plan(&tq.query)
+                        .and_then(|plan| {
+                            ntga_core::execute_plan_on(
+                                plane, &plan, &engine, &tq.query, input, &label, extract,
+                            )
+                        })
+                        .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
                     assert!(run.succeeded(), "{label}: hand-picked run failed");
                     if let Some(s) = run.solutions.clone() {
                         reference = Some(s);
@@ -133,10 +137,14 @@ fn main() {
 
                 let (engine, input) = engine_for(&cluster, store, plane);
                 let label = format!("{qid}-CostBased");
-                let run = ntga_core::execute_cost_based(
-                    plane, &engine, &tq.query, input, &label, true, &stats,
-                )
-                .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+                let config = ntga_core::OptimizerConfig::for_engine(&engine);
+                let run = ntga_core::optimize(&tq.query, &stats, &engine.cost, &config)
+                    .and_then(|plan| {
+                        ntga_core::execute_plan_on(
+                            plane, &plan, &engine, &tq.query, input, &label, true,
+                        )
+                    })
+                    .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
                 assert!(run.succeeded(), "{label}: cost-based run failed");
                 assert_eq!(
                     run.solutions.as_ref(),
@@ -207,9 +215,16 @@ fn broadcast_identity(opts: &BenchOpts, store: &TripleStore) -> Vec<report::Row>
         let engine =
             cluster.with_workers(workers).engine_with(store).with_broadcast_budget(u64::MAX);
         let label = format!("bcast-w{workers}");
-        let run =
-            ntga_core::execute_plan(&plan, &engine, &tq.query, mr_rdf::TRIPLES_FILE, &label, false)
-                .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+        let run = ntga_core::execute_plan_on(
+            DataPlane::Lexical,
+            &plan,
+            &engine,
+            &tq.query,
+            mr_rdf::TRIPLES_FILE,
+            &label,
+            false,
+        )
+        .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
         assert!(run.succeeded(), "{label}: broadcast run failed");
         assert!(
             run.stats.jobs.iter().any(|j| j.reduce_tasks == 0),

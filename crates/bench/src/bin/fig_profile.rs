@@ -55,9 +55,14 @@ fn main() {
         for strategy in HAND_PICKED {
             let engine = cluster.engine_with(&store);
             let label = format!("{qid}-{}", strategy.label());
-            let run =
-                ntga_core::execute(strategy, &engine, query, mr_rdf::TRIPLES_FILE, &label, false)
-                    .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+            let run = strategy
+                .plan(query)
+                .and_then(|plan| {
+                    let plane = ntga_core::DataPlane::Lexical;
+                    let input = mr_rdf::TRIPLES_FILE;
+                    ntga_core::execute_plan_on(plane, &plan, &engine, query, input, &label, false)
+                })
+                .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
             assert!(run.succeeded(), "{label}: hand-picked run failed");
             let t = run.stats.sim_seconds;
             if cell.as_ref().is_none_or(|(b, _)| t < *b) {

@@ -327,27 +327,21 @@ impl Runner {
         label: &str,
     ) -> QueryRun {
         let engine = cluster.engine_with(store);
+        let input = mr_rdf::TRIPLES_FILE;
+        let run_plan = |plan: Result<ntga_core::PhysicalPlan, mr_rdf::PlanError>| {
+            let plan = plan?;
+            let plane = ntga_core::DataPlane::Lexical;
+            ntga_core::execute_plan_on(plane, &plan, &engine, query, input, label, false)
+        };
         let result = match self {
-            Runner::Relational(f) => {
-                relbase::execute(*f, &engine, query, mr_rdf::TRIPLES_FILE, label, false)
-            }
+            Runner::Relational(f) => relbase::execute(*f, &engine, query, input, label, false),
             Runner::Grouping(g) => {
-                relbase::execute_grouping(*g, &engine, query, mr_rdf::TRIPLES_FILE, label, false)
+                relbase::execute_grouping(*g, &engine, query, input, label, false)
             }
-            Runner::Ntga(s) => {
-                ntga_core::execute(*s, &engine, query, mr_rdf::TRIPLES_FILE, label, false)
-            }
+            Runner::Ntga(s) => run_plan(s.plan(query)),
             Runner::NtgaCost => {
-                let stats = store.stats();
-                ntga_core::execute_cost_based(
-                    ntga_core::DataPlane::Lexical,
-                    &engine,
-                    query,
-                    mr_rdf::TRIPLES_FILE,
-                    label,
-                    false,
-                    &stats,
-                )
+                let config = ntga_core::OptimizerConfig::for_engine(&engine);
+                run_plan(ntga_core::optimize(query, &store.stats(), &engine.cost, &config))
             }
         };
         result.unwrap_or_else(|e| panic!("{label}: planning failed: {e}"))

@@ -142,16 +142,20 @@ fn executed_plans_report_bounded_q_error() {
         };
         for tq in queries {
             let engine = cluster.engine_with(&store);
-            let run = ntga_core::execute_cost_based(
-                ntga_core::DataPlane::Lexical,
-                &engine,
-                &tq.query,
-                mr_rdf::TRIPLES_FILE,
-                &format!("qerr-{name}-{}", tq.id),
-                true,
-                &stats,
-            )
-            .unwrap_or_else(|e| panic!("{name}/{}: planning failed: {e}", tq.id));
+            let config = ntga_core::OptimizerConfig::for_engine(&engine);
+            let run = ntga_core::optimize(&tq.query, &stats, &engine.cost, &config)
+                .and_then(|plan| {
+                    ntga_core::execute_plan_on(
+                        ntga_core::DataPlane::Lexical,
+                        &plan,
+                        &engine,
+                        &tq.query,
+                        mr_rdf::TRIPLES_FILE,
+                        &format!("qerr-{name}-{}", tq.id),
+                        true,
+                    )
+                })
+                .unwrap_or_else(|e| panic!("{name}/{}: planning failed: {e}", tq.id));
             assert!(run.succeeded(), "{name}/{}: run failed", tq.id);
             assert_eq!(
                 run.solutions.as_ref(),

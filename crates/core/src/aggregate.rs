@@ -88,7 +88,8 @@ pub fn count_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{execute, Strategy};
+    use crate::optimizer::{execute_plan_on, DataPlane};
+    use crate::planner::Strategy;
     use mr_rdf::load_store;
     use mrsim::Engine;
     use rdf_model::{STriple, TripleStore};
@@ -120,7 +121,8 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &store()).unwrap();
         let query = parse_query(q).unwrap();
-        execute(Strategy::LazyFull, &engine, &query, "t", "agg", true).unwrap();
+        let plan = Strategy::LazyFull.plan(&query).unwrap();
+        execute_plan_on(DataPlane::Lexical, &plan, &engine, &query, "t", "agg", true).unwrap();
         let tuples = final_tuples(&engine, "agg");
         let n = query.stars.len();
         (engine, tuples, query, n)

@@ -1,17 +1,17 @@
-//! Plan explanation: render the MR workflow the planner would run,
-//! without executing it.
+//! Plan explanation: render the MR workflow a plan would run, without
+//! executing it.
 //!
 //! Mirrors `EXPLAIN` in SQL engines: one line per MR cycle with the
 //! physical operator, its inputs, the unnest decision the strategy makes
 //! (`TG_UnbJoin` vs `TG_OptUnbJoin` and the φ range), and the paper
 //! vocabulary for each step, so the rewrite from Figure 6 is visible.
+//! Cycles come from the same left-deep join schedule the executor runs.
 
-use crate::optimizer::{JoinAlgo, PhysicalPlan};
-use crate::physical::{role_of, BuildSide, JoinRole, UnnestMode};
-use crate::planner::Strategy;
+use crate::optimizer::{join_schedule, JoinAlgo, PhysicalPlan};
+use crate::physical::{BuildSide, JoinRole, UnnestMode};
+use crate::planner::{mode_for, unbound_flags, Strategy};
 use mr_rdf::{check_query, PlanError};
 use rdf_query::{ObjPattern, Query};
-use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// A rendered plan.
@@ -79,11 +79,10 @@ impl PropertyToken for rdf_query::TriplePattern {
     }
 }
 
-/// Render the plan the NTGA planner would compile for `query` under
-/// `strategy`. Fails exactly when [`crate::execute`] would fail to plan.
+/// Render the plan `strategy` lowers to on `query` (see
+/// [`Strategy::plan`]). Fails exactly when the lowering fails.
 pub fn explain(strategy: Strategy, query: &Query) -> Result<PlanText, PlanError> {
-    query.validate()?;
-    check_query(query)?;
+    let steps = join_schedule(query)?;
     let mut cycles = Vec::new();
 
     // Job 1.
@@ -115,67 +114,39 @@ pub fn explain(strategy: Strategy, query: &Query) -> Result<PlanText, PlanError>
     job1.push_str("   [1 full scan computes ALL star subpatterns]");
     cycles.push(job1);
 
-    // Join cycles, in the same order execute() picks them. Track which
-    // unnest flavors the plan will exercise for the counter summary.
+    // Join cycles. Track which unnest flavors the plan will exercise for
+    // the counter summary.
     let mut lazy_unnest = false;
     let mut partial_unnest = false;
-    let edges = query.join_edges();
-    let mut joined: HashSet<usize> = HashSet::from([0]);
-    let mut components: Vec<usize> = vec![0];
-    while joined.len() < query.stars.len() {
-        let edge = edges
-            .iter()
-            .find(|e| joined.contains(&e.left) != joined.contains(&e.right))
-            .ok_or_else(|| PlanError::Internal("join graph not connected".into()))?;
-        let other = if joined.contains(&edge.left) { edge.right } else { edge.left };
-        let (lpos, lrole) = components
-            .iter()
-            .enumerate()
-            .find_map(|(pos, &si)| role_of(&query.stars[si], &edge.var).map(|r| (pos, r)))
-            .ok_or_else(|| PlanError::Internal("join var missing on left".into()))?;
-        let rrole = role_of(&query.stars[other], &edge.var)
-            .ok_or_else(|| PlanError::Internal("join var missing on right".into()))?;
-
-        let mut unbound_flags = Vec::new();
-        for (si, role) in [(components[lpos], lrole), (other, rrole)] {
-            if let JoinRole::UnboundObj(u) = role {
-                let pat = query.stars[si].unbound_patterns()[u].clone();
-                unbound_flags.push(matches!(pat.object, ObjPattern::Filtered(_, _)));
+    for step in &steps {
+        let flags = unbound_flags(query, step);
+        let op = match (strategy, mode_for(strategy, &flags)) {
+            _ if flags.is_empty() => "TG_Join".to_string(),
+            (Strategy::Eager, _) => "TG_Join (inputs already β-unnested eagerly)".to_string(),
+            (Strategy::LazyFull, _) => {
+                lazy_unnest = true;
+                "TG_UnbJoin (lazy FULL μ^β at this cycle's map)".to_string()
             }
-        }
-        let op = if unbound_flags.is_empty() {
-            "TG_Join".to_string()
-        } else {
-            match strategy {
-                Strategy::Eager => "TG_Join (inputs already β-unnested eagerly)".to_string(),
-                Strategy::LazyFull => {
-                    lazy_unnest = true;
-                    "TG_UnbJoin (lazy FULL μ^β at this cycle's map)".to_string()
-                }
-                Strategy::LazyPartial(m) => {
-                    partial_unnest = true;
-                    format!("TG_OptUnbJoin (lazy PARTIAL μ^β_φ, φ range {m})")
-                }
-                Strategy::Auto(m) => {
-                    if unbound_flags.iter().all(|&f| f) {
-                        lazy_unnest = true;
-                        "TG_UnbJoin (Auto: partially-bound object -> full unnest)".to_string()
-                    } else {
-                        partial_unnest = true;
-                        format!("TG_OptUnbJoin (Auto: unbound object -> partial unnest, φ {m})")
-                    }
-                }
+            (Strategy::LazyPartial(m), _) => {
+                partial_unnest = true;
+                format!("TG_OptUnbJoin (lazy PARTIAL μ^β_φ, φ range {m})")
+            }
+            (Strategy::Auto(_), UnnestMode::Exact) => {
+                lazy_unnest = true;
+                "TG_UnbJoin (Auto: partially-bound object -> full unnest)".to_string()
+            }
+            (Strategy::Auto(_), UnnestMode::Partial(m)) => {
+                partial_unnest = true;
+                format!("TG_OptUnbJoin (Auto: unbound object -> partial unnest, φ {m})")
             }
         };
         cycles.push(format!(
             "{op} on ?{}: left {} ⋈ right EC{} {}",
-            edge.var,
-            role_text(lrole, &query.stars[components[lpos]]),
-            other,
-            role_text(rrole, &query.stars[other]),
+            step.var,
+            role_text(step.lrole, &query.stars[step.l_star]),
+            step.other,
+            role_text(step.rrole, &query.stars[step.other]),
         ));
-        joined.insert(other);
-        components.push(other);
     }
     let mut counters = vec!["ntga.group.*"];
     if strategy == Strategy::Eager || lazy_unnest {
@@ -211,7 +182,7 @@ pub fn explain_plan(plan: &PhysicalPlan, query: &Query) -> Result<PlanText, Plan
         placements.join(", "),
         plan.job1_reduce_tasks
     ));
-    estimates.push(plan.estimated_job1_records.round() as u64);
+    estimates.extend(plan.estimated_job1_records.map(|r| r.round() as u64));
 
     let mut eager_unnest = plan.eager_stars.iter().any(|&e| e);
     let mut partial_unnest = false;
@@ -234,7 +205,7 @@ pub fn explain_plan(plan: &PhysicalPlan, query: &Query) -> Result<PlanText, Plan
             }
         };
         cycles.push(desc);
-        estimates.push(cycle.estimated_output_records.round() as u64);
+        estimates.extend(cycle.estimated_output_records.map(|r| r.round() as u64));
     }
     let mut counters = vec!["ntga.group.*"];
     if eager_unnest {

@@ -11,11 +11,14 @@
 //! * [`physical`] — the MapReduce operators of Section 4: `TG_GroupBy` +
 //!   `TG_UnbGrpFilter` (Algorithm 2), `TG_Join`, `TG_UnbJoin` (lazy full
 //!   β-unnest), `TG_OptUnbJoin` (lazy partial β-unnest, Algorithm 3);
-//! * [`planner`] — query → MR workflow under a hand-picked [`Strategy`]
-//!   (EagerUnnest / LazyUnnest-full / LazyUnnest-partial / Auto);
-//! * [`optimizer`] — cost-based plan selection: per-star unnest placement,
-//!   per-cycle exact/partial/broadcast join choice and reducer sizing from
-//!   store statistics and the engine's cost model;
+//! * [`planner`] — the paper's hand-picked [`Strategy`] policies
+//!   (EagerUnnest / LazyUnnest-full / LazyUnnest-partial / Auto), each
+//!   lowered to a [`PhysicalPlan`] by [`Strategy::plan`];
+//! * [`optimizer`] — the [`PhysicalPlan`], its cost-based search
+//!   ([`optimize`]: per-star unnest placement, per-cycle
+//!   exact/partial/broadcast join choice and reducer sizing from store
+//!   statistics and the engine's cost model), and the one executor every
+//!   NTGA query runs through ([`execute_plan_on`]);
 //! * [`metrics`] — redundancy factors;
 //! * [`profile`] — EXPLAIN ANALYZE: join a priced plan against the measured
 //!   run into a per-operator estimated-vs-actual profile tree.
@@ -23,7 +26,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use ntga_core::{execute, Strategy};
+//! use ntga_core::{execute_plan_on, DataPlane, Strategy};
 //! use mrsim::Engine;
 //!
 //! let engine = Engine::unbounded();
@@ -35,7 +38,9 @@
 //! let query = rdf_query::parse_query(
 //!     "SELECT * WHERE { ?g <label> ?l . ?g ?p ?go . ?go <gl> ?x . }",
 //! ).unwrap();
-//! let run = execute(Strategy::Auto(1024), &engine, &query, "triples", "demo", true).unwrap();
+//! let plan = Strategy::Auto(1024).plan(&query).unwrap();
+//! let run =
+//!     execute_plan_on(DataPlane::Lexical, &plan, &engine, &query, "triples", "demo", true).unwrap();
 //! assert!(run.succeeded());
 //! assert_eq!(run.stats.mr_cycles, 2); // all star joins in ONE grouping cycle
 //! assert_eq!(run.solutions.unwrap().len(), 1);
@@ -57,9 +62,9 @@ pub mod tg;
 
 pub use explain::{explain, explain_plan, PlanText};
 pub use optimizer::{
-    execute_cost_based, execute_plan, execute_plan_on, execute_plan_profiled, optimize, DataPlane,
-    JoinAlgo, OptimizerConfig, PhysicalPlan,
+    execute_plan_on, execute_plan_profiled, expand_tuples, optimize, DataPlane, JoinAlgo,
+    OptimizerConfig, PhysicalPlan,
 };
-pub use planner::{execute, execute_on, expand_tuples, Strategy};
+pub use planner::Strategy;
 pub use profile::{explain_analyze, OpProfile, Profile, StarProfile};
 pub use tg::{AnnTg, TgTuple};

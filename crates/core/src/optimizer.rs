@@ -1,8 +1,11 @@
-//! Cost-based plan selection: statistics → [`PhysicalPlan`] → workflow.
+//! The physical plan, its search, and its one executor: statistics →
+//! [`PhysicalPlan`] → workflow.
 //!
-//! The [`crate::planner`] executes whatever [`crate::Strategy`] the caller
-//! hand-picks. This module closes the loop the paper leaves to "the
-//! optimizer": it consumes [`rdf_query::estimate`] cardinalities (star
+//! Every NTGA query runs as a [`PhysicalPlan`] through [`execute_plan_on`].
+//! A hand-picked [`crate::Strategy`] lowers to one fixed point of the plan
+//! space ([`crate::Strategy::plan`]); [`optimize`] searches the space from
+//! store statistics, closing the loop the paper leaves to "the optimizer":
+//! it consumes [`rdf_query::estimate`] cardinalities (star
 //! subject/row/pair counts under the containment assumption) and prices
 //! candidate physical operators through [`mrsim::CostModel`], choosing
 //!
@@ -17,17 +20,17 @@
 //!   entire reduce cycle** when the estimate clears the broadcast budget;
 //! * **per job** a reduce-task count sized to the estimated shuffle bytes.
 //!
-//! Every job carries its estimated output cardinality
+//! Every job of a priced plan carries its estimated output cardinality
 //! ([`mrsim::JobSpec::with_estimated_output`]), so executed plans report
 //! per-job q-error through [`mrsim::JobStats::q_error`] and the trace's
 //! `cardinality_estimate` events — the feedback signal that tells you when
-//! the estimator, not the executor, is the problem.
+//! the estimator, not the executor, is the problem. Lowered strategies
+//! carry no estimates and report no q-error.
 
 use crate::physical::{
     group_filter_job_ids_stars, group_filter_job_stars, role_of, tg_broadcast_join_job,
     tg_join_job, BuildSide, JoinRole, JoinSide, UnnestMode,
 };
-use crate::planner::expand_tuples;
 use crate::tg::TgTuple;
 use mr_rdf::{check_query, PlanError, QueryRun};
 use mrsim::{CostModel, Engine, JobStats, Workflow};
@@ -35,7 +38,7 @@ use rdf_model::StoreStats;
 use rdf_query::estimate::{
     pattern_cardinality, star_pair_cardinality, star_row_cardinality, star_subject_cardinality,
 };
-use rdf_query::{PropPattern, Query, StarPattern};
+use rdf_query::{Binding, PropPattern, Query, SolutionSet, StarPattern};
 use std::collections::HashSet;
 
 /// Tunables for plan search. [`OptimizerConfig::for_engine`] copies the
@@ -103,8 +106,9 @@ pub enum JoinAlgo {
 pub struct CyclePlan {
     /// Chosen algorithm.
     pub algo: JoinAlgo,
-    /// Estimated join output cardinality (records).
-    pub estimated_output_records: f64,
+    /// Estimated join output cardinality (records); `None` for a lowered
+    /// strategy, whose other `estimated_*` figures are zero.
+    pub estimated_output_records: Option<f64>,
     /// Estimated join output size in text bytes.
     pub estimated_output_bytes: f64,
     /// Estimated shuffle bytes (0 for broadcast cycles).
@@ -113,16 +117,21 @@ pub struct CyclePlan {
     pub estimated_seconds: f64,
 }
 
-/// A fully-decided physical plan for a query.
+/// A fully-decided physical plan for a query: either priced by
+/// [`optimize`] or lowered from a hand-picked [`crate::Strategy`].
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan {
+    /// Workflow name prefix: a run labelled `q` is named `{workflow}/q`
+    /// (`NTGA-CostBased`, or `NTGA-` plus the lowered strategy's label).
+    pub workflow: String,
     /// Per-star Job 1 unnest placement (`true` = eager β-unnest in the
     /// grouping reduce, `false` = stay nested).
     pub eager_stars: Vec<bool>,
     /// Reduce-task count for Job 1, sized to the estimated shuffle.
     pub job1_reduce_tasks: usize,
-    /// Estimated total records Job 1 writes across all equivalence classes.
-    pub estimated_job1_records: f64,
+    /// Estimated total records Job 1 writes across all equivalence classes;
+    /// `None` for a lowered strategy, which is unpriced.
+    pub estimated_job1_records: Option<f64>,
     /// Estimated total text bytes Job 1 writes across all equivalence classes.
     pub estimated_job1_bytes: f64,
     /// Estimated records per equivalence-class file (one entry per star,
@@ -132,7 +141,7 @@ pub struct PhysicalPlan {
     pub estimated_star_records: Vec<f64>,
     /// Estimated cost of Job 1 in simulated seconds.
     pub estimated_job1_seconds: f64,
-    /// One entry per join cycle, in the planner's left-deep order.
+    /// One entry per join cycle, in left-deep join-schedule order.
     pub cycles: Vec<CyclePlan>,
     /// Estimated total plan cost in simulated seconds.
     pub estimated_seconds: f64,
@@ -173,24 +182,29 @@ impl PhysicalPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Left-deep join schedule (shared by optimize and execute_plan)
+// Left-deep join schedule (shared by lowering, search, explain and execution)
 // ---------------------------------------------------------------------------
 
-/// One step of the planner's left-deep join order: join star `other` into
-/// the accumulated left relation, whose component `lpos` (star `l_star`)
-/// carries the join variable under `lrole`.
-#[derive(Debug, Clone, Copy)]
-struct CycleStep {
-    other: usize,
-    lpos: usize,
-    l_star: usize,
-    lrole: JoinRole,
-    rrole: JoinRole,
+/// One step of the left-deep join order: join star `other` into the
+/// accumulated left relation, whose component `lpos` (star `l_star`)
+/// carries the join variable `var` under `lrole`.
+#[derive(Debug, Clone)]
+pub(crate) struct CycleStep {
+    pub(crate) var: String,
+    pub(crate) other: usize,
+    pub(crate) lpos: usize,
+    pub(crate) l_star: usize,
+    pub(crate) lrole: JoinRole,
+    pub(crate) rrole: JoinRole,
 }
 
-/// Reproduce [`crate::planner::execute`]'s left-deep traversal symbolically
-/// so plan decisions line up one-to-one with the jobs that will run.
-fn join_schedule(query: &Query) -> Result<Vec<CycleStep>, PlanError> {
+/// Validate `query` and derive its left-deep join schedule: starting from
+/// star 0, repeatedly join the first star the join graph connects to the
+/// stars joined so far. Every plan decision lines up one-to-one with the
+/// jobs this schedule runs.
+pub(crate) fn join_schedule(query: &Query) -> Result<Vec<CycleStep>, PlanError> {
+    query.validate()?;
+    check_query(query)?;
     let edges = query.join_edges();
     let mut joined: HashSet<usize> = HashSet::from([0]);
     let mut components: Vec<usize> = vec![0];
@@ -210,7 +224,14 @@ fn join_schedule(query: &Query) -> Result<Vec<CycleStep>, PlanError> {
             .ok_or_else(|| PlanError::Internal("join var missing on left".into()))?;
         let rrole = role_of(&query.stars[other], &edge.var)
             .ok_or_else(|| PlanError::Internal("join var missing on right".into()))?;
-        steps.push(CycleStep { other, lpos, l_star: components[lpos], lrole, rrole });
+        steps.push(CycleStep {
+            var: edge.var.clone(),
+            other,
+            lpos,
+            l_star: components[lpos],
+            lrole,
+            rrole,
+        });
         joined.insert(other);
         components.push(other);
     }
@@ -473,8 +494,6 @@ pub fn optimize(
     cost: &CostModel,
     config: &OptimizerConfig,
 ) -> Result<PhysicalPlan, PlanError> {
-    query.validate()?;
-    check_query(query)?;
     let steps = join_schedule(query)?;
     let bpp = bytes_per_pair(stats);
     let star_ests: Vec<StarEst> = query.stars.iter().map(|s| star_estimates(s, stats)).collect();
@@ -527,7 +546,7 @@ pub fn optimize(
             );
             let mut best_cycle = CyclePlan {
                 algo: JoinAlgo::Reduce { mode: UnnestMode::Exact, reduce_tasks: rt },
-                estimated_output_records: out.records,
+                estimated_output_records: Some(out.records),
                 estimated_output_bytes: out.bytes,
                 estimated_shuffle_bytes: shuffle,
                 estimated_seconds: secs,
@@ -548,7 +567,7 @@ pub fn optimize(
                     if secs < best_cycle.estimated_seconds {
                         best_cycle = CyclePlan {
                             algo: JoinAlgo::Reduce { mode, reduce_tasks: rt },
-                            estimated_output_records: out.records,
+                            estimated_output_records: Some(out.records),
                             estimated_output_bytes: out.bytes,
                             estimated_shuffle_bytes: shuffle,
                             estimated_seconds: secs,
@@ -563,7 +582,7 @@ pub fn optimize(
                     if secs < best_cycle.estimated_seconds {
                         best_cycle = CyclePlan {
                             algo: JoinAlgo::Broadcast { build },
-                            estimated_output_records: out.records,
+                            estimated_output_records: Some(out.records),
                             estimated_output_bytes: out.bytes,
                             estimated_shuffle_bytes: 0,
                             estimated_seconds: secs,
@@ -578,9 +597,10 @@ pub fn optimize(
         }
 
         let plan = PhysicalPlan {
+            workflow: "NTGA-CostBased".into(),
             eager_stars,
             job1_reduce_tasks,
-            estimated_job1_records: job1_records,
+            estimated_job1_records: Some(job1_records),
             estimated_job1_bytes: ecs.iter().map(|e| e.bytes).sum(),
             estimated_star_records: ecs.iter().map(|e| e.records).collect(),
             estimated_job1_seconds: job1_seconds,
@@ -608,14 +628,23 @@ pub enum DataPlane {
     Ids,
 }
 
-/// Execute a [`PhysicalPlan`] on `plane`.
+/// Execute a [`PhysicalPlan`] for `query` over the triple relation in DFS
+/// file `input` on `plane` — the one executor behind every NTGA run.
 ///
-/// Mirrors [`crate::planner::execute`]'s contract and left-deep order;
-/// every job carries its estimated output cardinality so the run's
-/// [`mrsim::WorkflowStats`] reports q-error. If the optimizer chose a
-/// broadcast join but the *actual* build file exceeds the engine's
-/// broadcast budget (an estimation miss), the cycle falls back to the
-/// reduce-side exact join instead of failing the workflow.
+/// Job 1 is one grouping cycle that computes every star subpattern; the
+/// join cycles follow the left-deep schedule. Planning problems are `Err`;
+/// runtime failures (DiskFull) come back inside the [`QueryRun`].
+/// `DataPlane::Ids` runs Job 1 over the dictionary-encoded relation
+/// ([`mr_rdf::IdTripleRec`] input, e.g. [`mr_rdf::ID_TRIPLES_FILE`]) and
+/// requires the engine to carry the matching dictionary
+/// (`Engine::with_dict`); the join cycles operate on triplegroup tuples
+/// and are identical on both planes.
+///
+/// Jobs carry the plan's estimated output cardinalities, when it has
+/// them, so the run's [`mrsim::WorkflowStats`] reports q-error. If the
+/// optimizer chose a broadcast join but the *actual* build file exceeds
+/// the engine's broadcast budget (an estimation miss), the cycle falls
+/// back to the reduce-side exact join instead of failing the workflow.
 pub fn execute_plan_on(
     plane: DataPlane,
     plan: &PhysicalPlan,
@@ -644,20 +673,18 @@ pub fn execute_plan_profiled(
     label: &str,
     extract_solutions: bool,
 ) -> Result<(QueryRun, Vec<u64>), PlanError> {
-    query.validate()?;
-    check_query(query)?;
     let steps = join_schedule(query)?;
     if steps.len() != plan.cycles.len() || plan.eager_stars.len() != query.stars.len() {
         return Err(PlanError::Internal("plan shape does not match query".into()));
     }
 
-    let mut wf = Workflow::new(engine, format!("NTGA-CostBased/{label}"));
+    let mut wf = Workflow::new(engine, format!("{}/{label}", plan.workflow));
     let fail = |wf: Workflow<'_>, e: &mrsim::MrError, stars: Vec<u64>| {
         Ok((QueryRun { stats: wf.finish_failed(e), solutions: None }, stars))
     };
 
     let ec_files: Vec<String> = (0..query.stars.len()).map(|i| format!("{label}.ec{i}")).collect();
-    let job1 = match plane {
+    let mut job1 = match plane {
         DataPlane::Lexical => group_filter_job_stars(
             format!("{label}.group"),
             query,
@@ -667,7 +694,7 @@ pub fn execute_plan_profiled(
         ),
         DataPlane::Ids => {
             let dict = engine.dict().ok_or_else(|| {
-                PlanError::Internal("ID-native plan needs Engine::with_dict".into())
+                PlanError::Internal("ID-native execution needs Engine::with_dict".into())
             })?;
             group_filter_job_ids_stars(
                 format!("{label}.group"),
@@ -679,8 +706,8 @@ pub fn execute_plan_profiled(
             )
         }
     }
-    .with_reducers(plan.job1_reduce_tasks)
-    .with_estimated_output(plan.estimated_job1_records);
+    .with_reducers(plan.job1_reduce_tasks);
+    job1.estimated_output_records = plan.estimated_job1_records;
     if let Err(e) = wf.run_job(job1) {
         return fail(wf, &e, Vec::new());
     }
@@ -697,7 +724,7 @@ pub fn execute_plan_profiled(
         let right = JoinSide { file: ec_files[step.other].clone(), component: 0, role: step.rrole };
         let out = format!("{label}.tgjoin{join_no}");
         let name = format!("{label}.tgjoin{join_no}");
-        let job = match cycle.algo {
+        let mut job = match cycle.algo {
             JoinAlgo::Reduce { mode, reduce_tasks } => {
                 tg_join_job(name, left, right, mode, &out).with_reducers(reduce_tasks)
             }
@@ -720,8 +747,8 @@ pub fn execute_plan_profiled(
                     tg_join_job(name, left, right, UnnestMode::Exact, &out)
                 }
             }
-        }
-        .with_estimated_output(cycle.estimated_output_records);
+        };
+        job.estimated_output_records = cycle.estimated_output_records;
         if let Err(e) = wf.run_job(job) {
             return fail(wf, &e, star_records);
         }
@@ -741,38 +768,50 @@ pub fn execute_plan_profiled(
     Ok((QueryRun { stats, solutions }, star_records))
 }
 
-/// [`execute_plan_on`] on the lexical plane.
-pub fn execute_plan(
-    plan: &PhysicalPlan,
-    engine: &Engine,
+/// Expand joined triplegroup tuples into a canonical solution set.
+///
+/// `components` maps each tuple position to its star index in `query`.
+pub fn expand_tuples(
+    tuples: &[TgTuple],
+    components: &[usize],
     query: &Query,
-    input: &str,
-    label: &str,
-    extract_solutions: bool,
-) -> Result<QueryRun, PlanError> {
-    execute_plan_on(DataPlane::Lexical, plan, engine, query, input, label, extract_solutions)
-}
-
-/// Optimize under the engine's own cost model and physical limits, then
-/// execute — the `--strategy auto-cost` entry point.
-pub fn execute_cost_based(
-    plane: DataPlane,
-    engine: &Engine,
-    query: &Query,
-    input: &str,
-    label: &str,
-    extract_solutions: bool,
-    stats: &StoreStats,
-) -> Result<QueryRun, PlanError> {
-    let config = OptimizerConfig::for_engine(engine);
-    let plan = optimize(query, stats, &engine.cost, &config)?;
-    execute_plan_on(plane, &plan, engine, query, input, label, extract_solutions)
+) -> Result<SolutionSet, PlanError> {
+    let mut set = SolutionSet::new();
+    for t in tuples {
+        if t.0.len() != components.len() {
+            return Err(PlanError::Internal("tuple arity mismatch".into()));
+        }
+        let mut partials: Vec<Binding> = vec![Binding::new()];
+        for (tg, &star_idx) in t.0.iter().zip(components) {
+            let star = &query.stars[star_idx];
+            let expansions = tg
+                .expand(star)
+                .ok_or_else(|| PlanError::Internal("triplegroup/star shape mismatch".into()))?;
+            let mut next = Vec::with_capacity(partials.len() * expansions.len());
+            for p in &partials {
+                for e in &expansions {
+                    let mut m = p.clone();
+                    if m.merge(e) {
+                        next.push(m);
+                    }
+                }
+            }
+            partials = next;
+        }
+        for b in partials {
+            set.insert(b);
+        }
+    }
+    Ok(match &query.projection {
+        Some(vars) => set.project(vars),
+        None => set,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{execute, Strategy};
+    use crate::planner::Strategy;
     use mr_rdf::{load_store, load_store_ids};
     use mrsim::SimHdfs;
     use rdf_model::{STriple, TripleStore};
@@ -796,6 +835,13 @@ mod tests {
 
     const UNBOUND_2STAR: &str = "SELECT * WHERE { ?g <label> ?l . ?g ?p ?go . ?go <gl> ?x . }";
 
+    /// Optimize under the engine's own cost model and limits, then run.
+    fn run_cost_based(engine: &Engine, query: &Query, s: &TripleStore) -> QueryRun {
+        let plan = optimize(query, &s.stats(), &engine.cost, &OptimizerConfig::for_engine(engine))
+            .unwrap();
+        execute_plan_on(DataPlane::Lexical, &plan, engine, query, "t", "q", true).unwrap()
+    }
+
     fn plan_for(q: &str, s: &TripleStore) -> PhysicalPlan {
         let query = parse_query(q).unwrap();
         optimize(&query, &s.stats(), &CostModel::scaled_to(s.text_bytes()), &Default::default())
@@ -810,9 +856,7 @@ mod tests {
         let query = parse_query(UNBOUND_2STAR).unwrap();
         let gold = rdf_query::naive::evaluate(&query, &s);
         assert!(!gold.is_empty());
-        let run =
-            execute_cost_based(DataPlane::Lexical, &engine, &query, "t", "q", true, &s.stats())
-                .unwrap();
+        let run = run_cost_based(&engine, &query, &s);
         assert!(run.succeeded());
         assert_eq!(run.solutions.unwrap(), gold);
         // Every job carried an estimate, so the run reports a q-error.
@@ -829,7 +873,8 @@ mod tests {
         load_store(&lex, "t", &s).unwrap();
         let stats = s.stats();
         let plan = optimize(&query, &stats, &lex.cost, &OptimizerConfig::for_engine(&lex)).unwrap();
-        let lrun = execute_plan(&plan, &lex, &query, "t", "q", true).unwrap();
+        let lrun =
+            execute_plan_on(DataPlane::Lexical, &plan, &lex, &query, "t", "q", true).unwrap();
 
         let ids = Engine::unbounded();
         let mut dict = rdf_model::Dictionary::default();
@@ -876,7 +921,9 @@ mod tests {
         let run_with = |strategy| {
             let engine = Engine::unbounded().with_cost(cost.clone());
             load_store(&engine, "t", &s).unwrap();
-            let r = execute(strategy, &engine, &query, "t", "q", false).unwrap();
+            let plan = Strategy::plan(strategy, &query).unwrap();
+            let r = execute_plan_on(DataPlane::Lexical, &plan, &engine, &query, "t", "q", false)
+                .unwrap();
             assert!(r.succeeded());
             r.stats.sim_seconds
         };
@@ -892,7 +939,8 @@ mod tests {
 
         let engine = Engine::unbounded().with_cost(cost.clone());
         load_store(&engine, "t", &s).unwrap();
-        let run = execute_plan(&plan, &engine, &query, "t", "q", false).unwrap();
+        let run =
+            execute_plan_on(DataPlane::Lexical, &plan, &engine, &query, "t", "q", false).unwrap();
         assert!(run.succeeded());
         assert!(
             run.stats.sim_seconds <= best_hand + 1e-9,
@@ -921,7 +969,8 @@ mod tests {
         assert!(plan.broadcast_cycles() > 0);
         let engine = Engine::unbounded().with_broadcast_budget(1);
         load_store(&engine, "t", &s).unwrap();
-        let run = execute_plan(&plan, &engine, &query, "t", "q", true).unwrap();
+        let run =
+            execute_plan_on(DataPlane::Lexical, &plan, &engine, &query, "t", "q", true).unwrap();
         assert!(run.succeeded());
         assert_eq!(run.solutions.unwrap(), gold);
         assert_eq!(run.stats.jobs.last().unwrap().broadcast_files, 0);
@@ -936,7 +985,8 @@ mod tests {
         load_store(&engine, "t", &s).unwrap();
         let query = parse_query("SELECT * WHERE { ?g <label> ?l . ?g ?p ?o . }").unwrap();
         let gold = rdf_query::naive::evaluate(&query, &s);
-        let run = execute_plan(&plan, &engine, &query, "t", "q", true).unwrap();
+        let run =
+            execute_plan_on(DataPlane::Lexical, &plan, &engine, &query, "t", "q", true).unwrap();
         assert_eq!(run.stats.mr_cycles, 1);
         assert_eq!(run.solutions.unwrap(), gold);
     }
@@ -947,9 +997,7 @@ mod tests {
         let engine = Engine::new(SimHdfs::new(s.text_bytes() + 20, 1));
         load_store(&engine, "t", &s).unwrap();
         let query = parse_query(UNBOUND_2STAR).unwrap();
-        let run =
-            execute_cost_based(DataPlane::Lexical, &engine, &query, "t", "q", true, &s.stats())
-                .unwrap();
+        let run = run_cost_based(&engine, &query, &s);
         assert!(!run.succeeded());
         assert!(run.solutions.is_none());
     }

@@ -1,22 +1,20 @@
-//! The NTGA query planner: query → grouping cycle + triplegroup join
-//! cycles, under a hand-picked unnesting [`Strategy`].
+//! Hand-picked unnesting [`Strategy`]s, lowered to physical plans.
 //!
 //! A [`Strategy`] applies one policy uniformly: the same unnest placement
 //! for every star, the same unnest mode rule for every join cycle, the
-//! engine's default reduce parallelism everywhere. The statistics-driven
-//! alternative lives in [`crate::optimizer`], which derives those choices
-//! *per star* and *per cycle* from [`rdf_model::StoreStats`] and the
-//! engine's cost model (`--strategy auto-cost` in the figure binaries).
+//! engine's default reduce parallelism everywhere. That makes it a single
+//! point in the plan space [`crate::optimizer::optimize`] searches:
+//! [`Strategy::plan`] lowers it to a [`PhysicalPlan`], which runs through
+//! the same executor as a cost-based plan
+//! ([`crate::optimizer::execute_plan_on`]). The statistics-driven
+//! alternative derives those choices *per star* and *per cycle* from
+//! [`rdf_model::StoreStats`] and the engine's cost model
+//! (`--strategy auto-cost` in the figure binaries).
 
-use crate::optimizer::DataPlane;
-use crate::physical::{
-    group_filter_job, group_filter_job_ids, role_of, tg_join_job, JoinRole, JoinSide, UnnestMode,
-};
-use crate::tg::TgTuple;
-use mr_rdf::{check_query, PlanError, QueryRun};
-use mrsim::{Engine, Workflow};
-use rdf_query::{Binding, ObjPattern, Query, SolutionSet};
-use std::collections::HashSet;
+use crate::optimizer::{join_schedule, CyclePlan, CycleStep, JoinAlgo, PhysicalPlan};
+use crate::physical::{JoinRole, UnnestMode, REDUCERS};
+use mr_rdf::PlanError;
+use rdf_query::{ObjPattern, Query};
 
 /// When and how β-unnesting happens (Section 4).
 ///
@@ -52,46 +50,60 @@ impl Strategy {
             Strategy::Auto(m) => format!("LazyUnnest(auto,phi_{m})"),
         }
     }
+
+    /// Lower this policy to the [`PhysicalPlan`] it stands for on `query`:
+    ///
+    /// | plan field       | lowered value                                     |
+    /// |------------------|---------------------------------------------------|
+    /// | `eager_stars[i]` | `self == Eager`, for every star                   |
+    /// | reduce tasks     | [`REDUCERS`] for Job 1 and every cycle            |
+    /// | cycle algorithm  | `JoinAlgo::Reduce` with the strategy's unnest mode |
+    ///
+    /// The plan is unpriced: it carries no cardinality estimates, so its
+    /// runs report no q-error. Fails exactly when the query cannot be
+    /// planned: invalid, unsupported, or a disconnected join graph.
+    pub fn plan(self, query: &Query) -> Result<PhysicalPlan, PlanError> {
+        let cycles = join_schedule(query)?
+            .iter()
+            .map(|step| CyclePlan {
+                algo: JoinAlgo::Reduce {
+                    mode: mode_for(self, &unbound_flags(query, step)),
+                    reduce_tasks: REDUCERS,
+                },
+                estimated_output_records: None,
+                estimated_output_bytes: 0.0,
+                estimated_shuffle_bytes: 0,
+                estimated_seconds: 0.0,
+            })
+            .collect();
+        Ok(PhysicalPlan {
+            workflow: format!("NTGA-{}", self.label()),
+            eager_stars: vec![self == Strategy::Eager; query.stars.len()],
+            job1_reduce_tasks: REDUCERS,
+            estimated_job1_records: None,
+            estimated_job1_bytes: 0.0,
+            estimated_star_records: Vec::new(),
+            estimated_job1_seconds: 0.0,
+            cycles,
+            estimated_seconds: 0.0,
+        })
+    }
 }
 
-/// Expand joined triplegroup tuples into a canonical solution set.
-///
-/// `components` maps each tuple position to its star index in `query`.
-pub fn expand_tuples(
-    tuples: &[TgTuple],
-    components: &[usize],
-    query: &Query,
-) -> Result<SolutionSet, PlanError> {
-    let mut set = SolutionSet::new();
-    for t in tuples {
-        if t.0.len() != components.len() {
-            return Err(PlanError::Internal("tuple arity mismatch".into()));
-        }
-        let mut partials: Vec<Binding> = vec![Binding::new()];
-        for (tg, &star_idx) in t.0.iter().zip(components) {
-            let star = &query.stars[star_idx];
-            let expansions = tg
-                .expand(star)
-                .ok_or_else(|| PlanError::Internal("triplegroup/star shape mismatch".into()))?;
-            let mut next = Vec::with_capacity(partials.len() * expansions.len());
-            for p in &partials {
-                for e in &expansions {
-                    let mut m = p.clone();
-                    if m.merge(e) {
-                        next.push(m);
-                    }
-                }
+/// For each side of `step` that joins on an unbound pattern's object
+/// ([`JoinRole::UnboundObj`]), whether that object is partially bound
+/// (filtered). Empty when neither side joins on an unbound object.
+pub(crate) fn unbound_flags(query: &Query, step: &CycleStep) -> Vec<bool> {
+    [(step.l_star, step.lrole), (step.other, step.rrole)]
+        .into_iter()
+        .filter_map(|(star, role)| match role {
+            JoinRole::UnboundObj(u) => {
+                let pat = query.stars[star].unbound_patterns()[u];
+                Some(matches!(pat.object, ObjPattern::Filtered(_, _)))
             }
-            partials = next;
-        }
-        for b in partials {
-            set.insert(b);
-        }
-    }
-    Ok(match &query.projection {
-        Some(vars) => set.project(vars),
-        None => set,
-    })
+            _ => None,
+        })
+        .collect()
 }
 
 /// Pick the unnest mode for one join under a strategy.
@@ -99,7 +111,7 @@ pub fn expand_tuples(
 /// `unbound_sides` carries, for each side with an [`JoinRole::UnboundObj`]
 /// role, whether that unbound pattern's object is partially bound
 /// (filtered).
-fn mode_for(strategy: Strategy, unbound_sides: &[bool]) -> UnnestMode {
+pub(crate) fn mode_for(strategy: Strategy, unbound_sides: &[bool]) -> UnnestMode {
     if unbound_sides.is_empty() {
         return UnnestMode::Exact;
     }
@@ -121,141 +133,12 @@ fn mode_for(strategy: Strategy, unbound_sides: &[bool]) -> UnnestMode {
     }
 }
 
-/// Execute `query` with the NTGA plan over the triple relation in DFS file
-/// `input`.
-///
-/// Mirrors `relbase::execute`'s contract: planning problems are `Err`,
-/// runtime failures (DiskFull) come back inside the [`QueryRun`].
-pub fn execute(
-    strategy: Strategy,
-    engine: &Engine,
-    query: &Query,
-    input: &str,
-    label: &str,
-    extract_solutions: bool,
-) -> Result<QueryRun, PlanError> {
-    execute_on(DataPlane::Lexical, strategy, engine, query, input, label, extract_solutions)
-}
-
-/// [`execute`] on an explicit [`DataPlane`].
-///
-/// `DataPlane::Ids` runs Job 1 over the dictionary-encoded relation
-/// ([`mr_rdf::IdTripleRec`] input, e.g. [`mr_rdf::ID_TRIPLES_FILE`]) and
-/// requires the engine to carry the matching dictionary
-/// (`Engine::with_dict`); the join cycles operate on triplegroup tuples
-/// and are identical on both planes.
-pub fn execute_on(
-    plane: DataPlane,
-    strategy: Strategy,
-    engine: &Engine,
-    query: &Query,
-    input: &str,
-    label: &str,
-    extract_solutions: bool,
-) -> Result<QueryRun, PlanError> {
-    query.validate()?;
-    check_query(query)?;
-
-    let mut wf = Workflow::new(engine, format!("NTGA-{}/{label}", strategy.label()));
-    let fail = |wf: Workflow<'_>, e: &mrsim::MrError| {
-        Ok(QueryRun { stats: wf.finish_failed(e), solutions: None })
-    };
-
-    // Job 1: one grouping cycle computes every star subpattern.
-    let ec_files: Vec<String> = (0..query.stars.len()).map(|i| format!("{label}.ec{i}")).collect();
-    let job1 = match plane {
-        DataPlane::Lexical => group_filter_job(
-            format!("{label}.group"),
-            query,
-            input,
-            ec_files.clone(),
-            strategy == Strategy::Eager,
-        ),
-        DataPlane::Ids => {
-            let dict = engine.dict().ok_or_else(|| {
-                PlanError::Internal("ID-native execution needs Engine::with_dict".into())
-            })?;
-            group_filter_job_ids(
-                format!("{label}.group"),
-                query,
-                input,
-                ec_files.clone(),
-                strategy == Strategy::Eager,
-                dict,
-            )
-        }
-    };
-    if let Err(e) = wf.run_job(job1) {
-        return fail(wf, &e);
-    }
-
-    // Join cycles, left-deep over the join graph.
-    let edges = query.join_edges();
-    let mut joined: HashSet<usize> = HashSet::from([0]);
-    let mut components: Vec<usize> = vec![0];
-    let mut current_file = ec_files[0].clone();
-    let mut join_no = 0;
-    while joined.len() < query.stars.len() {
-        let edge = edges
-            .iter()
-            .find(|e| joined.contains(&e.left) != joined.contains(&e.right))
-            .ok_or_else(|| PlanError::Internal("join graph not connected".into()))?;
-        let other = if joined.contains(&edge.left) { edge.right } else { edge.left };
-        // Left side: which already-joined component carries the join var?
-        let (lpos, lrole) = components
-            .iter()
-            .enumerate()
-            .find_map(|(pos, &star_idx)| {
-                role_of(&query.stars[star_idx], &edge.var).map(|r| (pos, r))
-            })
-            .ok_or_else(|| PlanError::Internal("join var missing on left".into()))?;
-        let rrole = role_of(&query.stars[other], &edge.var)
-            .ok_or_else(|| PlanError::Internal("join var missing on right".into()))?;
-
-        // Collect the "is the unbound object partially bound?" flags.
-        let mut unbound_flags = Vec::new();
-        for (star_idx, role) in [(components[lpos], lrole), (other, rrole)] {
-            if let JoinRole::UnboundObj(u) = role {
-                let pat = query.stars[star_idx].unbound_patterns()[u].clone();
-                unbound_flags.push(matches!(pat.object, ObjPattern::Filtered(_, _)));
-            }
-        }
-        let mode = mode_for(strategy, &unbound_flags);
-
-        let out = format!("{label}.tgjoin{join_no}");
-        let job = tg_join_job(
-            format!("{label}.tgjoin{join_no}"),
-            JoinSide { file: current_file.clone(), component: lpos, role: lrole },
-            JoinSide { file: ec_files[other].clone(), component: 0, role: rrole },
-            mode,
-            &out,
-        );
-        if let Err(e) = wf.run_job(job) {
-            return fail(wf, &e);
-        }
-        joined.insert(other);
-        components.push(other);
-        current_file = out;
-        join_no += 1;
-    }
-
-    let stats = wf.finish(&[&current_file]);
-    let solutions = if extract_solutions {
-        let tuples: Vec<TgTuple> = engine
-            .read_records(&current_file)
-            .map_err(|e| PlanError::Internal(format!("reading final output: {e}")))?;
-        Some(expand_tuples(&tuples, &components, query)?)
-    } else {
-        None
-    };
-    Ok(QueryRun { stats, solutions })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mr_rdf::load_store;
-    use mrsim::SimHdfs;
+    use crate::optimizer::{execute_plan_on, DataPlane};
+    use mr_rdf::{load_store, QueryRun};
+    use mrsim::{Engine, SimHdfs};
     use rdf_model::{STriple, TripleStore};
     use rdf_query::parse_query;
 
@@ -271,11 +154,22 @@ mod tests {
         ])
     }
 
+    /// Lower `strategy` on `query` and execute it on `plane`.
+    fn run_on(
+        plane: DataPlane,
+        strategy: Strategy,
+        engine: &Engine,
+        query: &Query,
+        input: &str,
+    ) -> Result<QueryRun, PlanError> {
+        execute_plan_on(plane, &strategy.plan(query)?, engine, query, input, "q", true)
+    }
+
     fn run(strategy: Strategy, q: &str) -> QueryRun {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &store()).unwrap();
         let query = parse_query(q).unwrap();
-        execute(strategy, &engine, &query, "t", "q", true).unwrap()
+        run_on(DataPlane::Lexical, strategy, &engine, &query, "t").unwrap()
     }
 
     const ALL: [Strategy; 5] = [
@@ -374,7 +268,7 @@ mod tests {
         let engine = Engine::new(SimHdfs::new(s.text_bytes() + 40, 1));
         load_store(&engine, "t", &s).unwrap();
         let query = parse_query(UNBOUND_2STAR).unwrap();
-        let r = execute(Strategy::Eager, &engine, &query, "t", "q", true).unwrap();
+        let r = run_on(DataPlane::Lexical, Strategy::Eager, &engine, &query, "t").unwrap();
         assert!(!r.succeeded());
         assert!(r.solutions.is_none());
     }
@@ -390,8 +284,7 @@ mod tests {
             let mut dict = rdf_model::Dictionary::default();
             mr_rdf::load_store_ids(&engine, "tid", &s, &mut dict).unwrap();
             let engine = engine.with_dict(Arc::new(dict));
-            let r =
-                execute_on(DataPlane::Ids, strategy, &engine, &query, "tid", "q", true).unwrap();
+            let r = run_on(DataPlane::Ids, strategy, &engine, &query, "tid").unwrap();
             assert!(r.succeeded(), "{strategy:?}");
             assert_eq!(r.solutions.unwrap(), gold, "{strategy:?}");
         }
@@ -399,9 +292,31 @@ mod tests {
         let engine = Engine::unbounded();
         mr_rdf::load_store(&engine, "t", &s).unwrap();
         assert!(matches!(
-            execute_on(DataPlane::Ids, Strategy::Eager, &engine, &query, "t", "q", true),
+            run_on(DataPlane::Ids, Strategy::Eager, &engine, &query, "t"),
             Err(PlanError::Internal(_))
         ));
+    }
+
+    #[test]
+    fn lowered_plan_is_unpriced_and_uniform() {
+        let query = parse_query(UNBOUND_2STAR).unwrap();
+        let plan = Strategy::Eager.plan(&query).unwrap();
+        assert_eq!(plan.workflow, "NTGA-EagerUnnest");
+        assert_eq!(plan.eager_stars, vec![true, true]);
+        assert_eq!(plan.job1_reduce_tasks, REDUCERS);
+        assert!(plan.estimated_job1_records.is_none());
+        let plan = Strategy::Auto(8).plan(&query).unwrap();
+        assert_eq!(plan.eager_stars, vec![false, false]);
+        assert_eq!(plan.cycles.len(), 1);
+        assert_eq!(
+            plan.cycles[0].algo,
+            JoinAlgo::Reduce { mode: UnnestMode::Partial(8), reduce_tasks: REDUCERS }
+        );
+        assert!(plan.cycles[0].estimated_output_records.is_none());
+        // No estimates, so the run reports no q-error.
+        let r = run(Strategy::Auto(8), UNBOUND_2STAR);
+        assert!(r.stats.max_q_error().is_none());
+        assert!(r.stats.label.starts_with("NTGA-LazyUnnest(auto,phi_8)/"), "{}", r.stats.label);
     }
 
     #[test]

@@ -178,7 +178,8 @@ fn op_profile(
 /// (one entry per star, as returned by
 /// [`crate::optimizer::execute_plan_profiled`]); pass an empty slice to skip
 /// the per-star breakdown. Fails when the stats do not have the plan's
-/// shape — one job for Job 1 plus one per cycle.
+/// shape — one job for Job 1 plus one per cycle — or when the plan is
+/// unpriced (a lowered [`crate::Strategy`] has no estimates to compare).
 pub fn explain_analyze(
     plan: &PhysicalPlan,
     stats: &WorkflowStats,
@@ -201,12 +202,14 @@ pub fn explain_analyze(
         )));
     }
 
+    let unpriced = || PlanError::Internal("EXPLAIN ANALYZE needs a priced plan".into());
+
     let mut operators = Vec::with_capacity(stats.jobs.len());
     operators.push(op_profile(
         &stats.jobs[0].name,
         job1_operator(plan),
         Est {
-            records: plan.estimated_job1_records,
+            records: plan.estimated_job1_records.ok_or_else(unpriced)?,
             bytes: plan.estimated_job1_bytes,
             // Job 1 always shuffles; the plan prices it inside job1 seconds
             // but does not expose the byte figure, so report the measured
@@ -226,7 +229,7 @@ pub fn explain_analyze(
             &job.name,
             cycle_operator(&cycle.algo),
             Est {
-                records: cycle.estimated_output_records,
+                records: cycle.estimated_output_records.ok_or_else(unpriced)?,
                 bytes: cycle.estimated_output_bytes,
                 shuffle: cycle.estimated_shuffle_bytes,
                 seconds: cycle.estimated_seconds,
@@ -431,7 +434,7 @@ impl Profile {
 mod tests {
     use super::*;
     use crate::optimizer::{
-        execute_plan, execute_plan_profiled, optimize, DataPlane, OptimizerConfig,
+        execute_plan_on, execute_plan_profiled, optimize, DataPlane, OptimizerConfig,
     };
     use mr_rdf::load_store;
     use mrsim::CostModel;
@@ -522,7 +525,11 @@ mod tests {
         let query = parse_query(UNBOUND_2STAR).unwrap();
         let engine = mrsim::Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
-        let run = execute_plan(&plan, &engine, &query, "t", "q", false).unwrap();
+        let run =
+            execute_plan_on(DataPlane::Lexical, &plan, &engine, &query, "t", "q", false).unwrap();
         assert!(explain_analyze(&plan, &run.stats, &[1]).is_err());
+        // A lowered strategy carries no estimates to compare against.
+        let lowered = crate::Strategy::LazyFull.plan(&query).unwrap();
+        assert!(explain_analyze(&lowered, &run.stats, &[]).is_err());
     }
 }

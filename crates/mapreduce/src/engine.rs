@@ -531,7 +531,10 @@ impl Engine {
         }
         let mut written: Vec<&String> = Vec::new();
         for (name, output) in spec.outputs.iter().zip(outputs) {
-            if let Err(e) = self.hdfs.lock().put_with_replication(name, output, replication) {
+            // Bind the result first: an `if let` scrutinee's guard would
+            // live through the body, which locks the DFS again.
+            let put = self.hdfs.lock().put_with_replication(name, output, replication);
+            if let Err(e) = put {
                 // A failed job must not leave partial outputs behind.
                 let mut fs = self.hdfs.lock();
                 for w in written {
@@ -1392,6 +1395,29 @@ mod tests {
         let engine = Engine::unbounded();
         let spec = word_count_spec();
         assert!(matches!(engine.run_job(&spec), Err(MrError::NoSuchFile(_))));
+    }
+
+    #[test]
+    fn failed_commit_removes_earlier_outputs() {
+        // A two-output job whose second output name is taken: the commit
+        // must fail with OutputExists and roll back the first output. Run
+        // on a thread so a lock re-entry deadlock fails instead of hanging.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let job = std::thread::spawn(move || {
+            let engine = word_count_engine(&["a", "b", "a"]);
+            engine.put_records("out1", ["taken".to_string()]).unwrap();
+            let mut spec = word_count_spec();
+            spec.outputs = vec!["out0".into(), "out1".into()];
+            let result = engine.run_job(&spec);
+            let leftover = engine.hdfs().lock().exists("out0");
+            tx.send((result.map(|_| ()), leftover)).unwrap();
+        });
+        let (result, leftover) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("job commit deadlocked on a failed output write");
+        job.join().expect("job thread panicked");
+        assert!(matches!(result, Err(MrError::OutputExists(ref f)) if f == "out1"), "{result:?}");
+        assert!(!leftover, "first output survived the failed commit");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Join of two materialized row relations on one shared variable — the
 //! "join between stars" MR cycle of the relational plans.
 
-use mr_rdf::{IdRow, PlanError, Row, RowSchema, SidedIdRow};
+use mr_rdf::{PlanError, Row, RowSchema};
 use mrsim::{
-    map_fn, map_only_fn_ctx, reduce_fn, reduce_fn_ctx, InputBinding, JobSpec, MrError, Rec,
-    TaskContext, TypedMapEmitter, TypedOutEmitter, VarId,
+    map_fn, map_only_fn_ctx, reduce_fn, InputBinding, JobSpec, MrError, Rec, TaskContext,
+    TypedMapEmitter, TypedOutEmitter,
 };
 use rdf_model::atom::Atom;
 use rdf_model::hash::DetHashMap;
@@ -156,85 +156,6 @@ pub fn row_broadcast_join_job(
     Ok((spec, schema))
 }
 
-fn side_mapper_ids(side: u32, key_col: usize) -> Arc<dyn mrsim::RawMapOp> {
-    map_fn(move |row: IdRow, out: &mut TypedMapEmitter<'_, VarId, SidedIdRow>| {
-        let key = *row.0.get(key_col).ok_or_else(|| {
-            MrError::Op(format!("row arity {} too small for key column {key_col}", row.0.len()))
-        })?;
-        out.emit(&VarId(key), &SidedIdRow { side, row });
-        Ok(())
-    })
-}
-
-/// ID-native [`row_join_job`]: joins two [`IdRow`] relations, shipping
-/// varint ids through the shuffle and resolving to lexical [`Row`]s at
-/// the output boundary via the engine's dictionary snapshot
-/// (`Engine::with_dict`).
-pub fn row_join_job_ids(
-    name: impl Into<String>,
-    left: (&str, &RowSchema),
-    right: (&str, &RowSchema),
-    var: &str,
-    output: impl Into<String>,
-) -> Result<(JobSpec, RowSchema), PlanError> {
-    let lcol = left
-        .1
-        .index_of(var)
-        .ok_or_else(|| PlanError::Internal(format!("left relation lacks join var ?{var}")))?;
-    let rcol = right
-        .1
-        .index_of(var)
-        .ok_or_else(|| PlanError::Internal(format!("right relation lacks join var ?{var}")))?;
-    let schema = left.1.concat(right.1);
-    let reducer = reduce_fn_ctx(
-        move |ctx: &mrsim::TaskContext,
-              _key: VarId,
-              values: Vec<SidedIdRow>,
-              out: &mut TypedOutEmitter<'_, Row>| {
-            let mut lefts: Vec<Row> = Vec::new();
-            let mut rights: Vec<Row> = Vec::new();
-            for v in &values {
-                let row = v
-                    .row
-                    .0
-                    .iter()
-                    .map(|&id| ctx.resolve_atom(id))
-                    .collect::<Result<Row, MrError>>()?;
-                match v.side {
-                    0 => lefts.push(row),
-                    1 => rights.push(row),
-                    _ => return Err(MrError::Op("bad join side tag".into())),
-                }
-            }
-            // The lexical reducer sees each side's rows in encoded token
-            // order; restore it after resolution so the cross product
-            // emits in the same order.
-            lefts.sort_by_cached_key(Rec::to_bytes);
-            rights.sort_by_cached_key(Rec::to_bytes);
-            for l in &lefts {
-                for r in &rights {
-                    let mut joined: Row = Vec::with_capacity(l.len() + r.len());
-                    joined.extend_from_slice(l);
-                    joined.extend_from_slice(r);
-                    out.emit(&joined)?;
-                }
-            }
-            Ok(())
-        },
-    );
-    let spec = JobSpec::map_reduce(
-        name,
-        vec![
-            InputBinding { file: left.0.to_string(), mapper: side_mapper_ids(0, lcol) },
-            InputBinding { file: right.0.to_string(), mapper: side_mapper_ids(1, rcol) },
-        ],
-        reducer,
-        REDUCERS,
-        output,
-    );
-    Ok((spec, schema))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,69 +197,6 @@ mod tests {
             assert_eq!(&**b.get("x").unwrap(), "<k1>");
             assert_eq!(&**b.get("b").unwrap(), "<b1>");
         }
-    }
-
-    #[test]
-    fn id_row_join_matches_lexical_and_ships_fewer_bytes() {
-        let lschema = RowSchema::new(vec![Some("a".into()), Some("x".into())]);
-        let rschema = RowSchema::new(vec![Some("x".into()), Some("b".into())]);
-        let lefts: Vec<Row> = vec![
-            vec!["<a1>".into(), "<k1>".into()],
-            vec!["<a2>".into(), "<k1>".into()],
-            vec!["<a3>".into(), "<k2>".into()],
-        ];
-        let rights: Vec<Row> =
-            vec![vec!["<k1>".into(), "<b1>".into()], vec!["<k3>".into(), "<b3>".into()]];
-
-        let lex = Engine::unbounded();
-        put_rows(&lex, "L", lefts.clone());
-        put_rows(&lex, "R", rights.clone());
-        let (spec, schema) =
-            row_join_job("join", ("L", &lschema), ("R", &rschema), "x", "out").unwrap();
-        let lex_stats = lex.run_job(&spec).unwrap();
-        let mut lex_rows: Vec<Row> = lex.read_records("out").unwrap();
-        lex_rows.sort();
-
-        let mut dict = rdf_model::Dictionary::new();
-        let encode_rows = |rows: &[Row], dict: &mut rdf_model::Dictionary| -> Vec<IdRow> {
-            rows.iter().map(|r| IdRow(r.iter().map(|a| dict.encode(a)).collect())).collect()
-        };
-        let id_lefts = encode_rows(&lefts, &mut dict);
-        let id_rights = encode_rows(&rights, &mut dict);
-        let ids = Engine::unbounded().with_dict(Arc::new(dict.clone()));
-        ids.put_records("L", id_lefts).unwrap();
-        ids.put_records("R", id_rights).unwrap();
-        let (spec, id_schema) =
-            row_join_job_ids("join-ids", ("L", &lschema), ("R", &rschema), "x", "out").unwrap();
-        let id_stats = ids.run_job(&spec).unwrap();
-        let mut id_rows: Vec<Row> = ids.read_records("out").unwrap();
-        id_rows.sort();
-
-        assert_eq!(lex_rows, id_rows);
-        assert_eq!(schema.cols, id_schema.cols);
-        assert!(
-            id_stats.shuffle_wire_bytes() < lex_stats.shuffle_wire_bytes(),
-            "id wire {} >= lexical wire {}",
-            id_stats.shuffle_wire_bytes(),
-            lex_stats.shuffle_wire_bytes()
-        );
-    }
-
-    #[test]
-    fn id_row_join_rejects_foreign_ids() {
-        // A row mentioning an id outside the snapshot fails the task
-        // instead of fabricating output.
-        let lschema = RowSchema::new(vec![Some("x".into())]);
-        let rschema = RowSchema::new(vec![Some("x".into())]);
-        let mut dict = rdf_model::Dictionary::new();
-        let k = dict.encode(&rdf_model::atom::atom("<k>"));
-        let engine = Engine::unbounded().with_dict(Arc::new(dict));
-        engine.put_records("L", vec![IdRow(vec![k])]).unwrap();
-        engine.put_records("R", vec![IdRow(vec![k + 1])]).unwrap();
-        let (spec, _) =
-            row_join_job_ids("join-ids", ("L", &lschema), ("R", &rschema), "x", "out").unwrap();
-        let err = engine.run_job(&spec).unwrap_err();
-        assert!(matches!(err, MrError::Codec(_)), "unexpected error: {err:?}");
     }
 
     #[test]

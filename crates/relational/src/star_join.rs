@@ -8,13 +8,9 @@
 //! bound matches with every unbound match, the redundant representation
 //! whose cost the paper quantifies.
 
-use mr_rdf::{IdStarTest, IdTaggedPo, IdTripleRec, Row, RowSchema, TripleRec};
-use mrsim::{
-    map_fn, map_fn_ctx, reduce_fn, reduce_fn_ctx, InputBinding, JobSpec, MrError, Rec,
-    TypedMapEmitter, TypedOutEmitter, VarId,
-};
+use mr_rdf::{Row, RowSchema, TripleRec};
+use mrsim::{map_fn, reduce_fn, InputBinding, JobSpec, MrError, TypedMapEmitter, TypedOutEmitter};
 use rdf_model::atom::Atom;
-use rdf_model::Dictionary;
 use rdf_query::{ObjPattern, PropPattern, StarPattern, SubjPattern};
 use std::sync::Arc;
 
@@ -161,132 +157,6 @@ pub fn star_join_job(
     (spec, schema)
 }
 
-/// ID-native map operator: integer-compare pattern matching over
-/// [`IdTripleRec`]s, shipping varint `(tag, p, o)` values keyed by the
-/// subject id.
-pub fn star_mapper_ids(
-    star: &StarPattern,
-    which: PatternSet,
-    dict: &Dictionary,
-) -> Arc<dyn mrsim::RawMapOp> {
-    let compiled = IdStarTest::compile(star, dict);
-    map_fn_ctx(
-        move |ctx: &mrsim::TaskContext,
-              rec: IdTripleRec,
-              out: &mut TypedMapEmitter<'_, VarId, IdTaggedPo>| {
-            if !compiled.subject.accepts(rec.s, ctx)? {
-                return Ok(());
-            }
-            for (idx, pat) in compiled.patterns.iter().enumerate() {
-                let selected = match which {
-                    PatternSet::All => true,
-                    PatternSet::BoundOnly => !pat.unbound_property,
-                    PatternSet::UnboundOnly => pat.unbound_property,
-                };
-                if selected && pat.matches(&rec, ctx)? {
-                    out.emit(&VarId(rec.s), &IdTaggedPo { tag: idx as u32, p: rec.p, o: rec.o });
-                }
-            }
-            Ok(())
-        },
-    )
-}
-
-/// ID-native reduce operator: ids resolve to [`Atom`]s at the output
-/// boundary (via the engine's dictionary snapshot), then the same
-/// odometer cross product as [`star_reducer`] emits lexical [`Row`]s.
-pub fn star_reducer_ids(star: StarPattern) -> Arc<dyn mrsim::RawReduceOp> {
-    reduce_fn_ctx(
-        move |ctx: &mrsim::TaskContext,
-              subject: VarId,
-              values: Vec<IdTaggedPo>,
-              out: &mut TypedOutEmitter<'_, Row>| {
-            let k = star.patterns.len();
-            let subject = ctx.resolve_atom(subject.0)?;
-            let mut matches: Vec<Vec<(Atom, Atom)>> = vec![Vec::new(); k];
-            for v in values {
-                let idx = v.tag as usize;
-                if idx >= k {
-                    return Err(MrError::Op(format!("pattern index {idx} out of range")));
-                }
-                matches[idx].push((ctx.resolve_atom(v.p)?, ctx.resolve_atom(v.o)?));
-            }
-            if matches.iter().any(Vec::is_empty) {
-                return Ok(()); // star structure violated for this subject
-            }
-            // The lexical reducer sees each pattern's matches in encoded
-            // token order (the shuffle sorts by value bytes); restore it
-            // after resolution so row order within a group is identical.
-            for bucket in &mut matches {
-                bucket.sort_by_cached_key(Rec::to_bytes);
-            }
-            let mut cursor = vec![0usize; k];
-            loop {
-                let mut row: Row = Vec::with_capacity(3 * k);
-                for (i, c) in cursor.iter().enumerate() {
-                    let (p, o) = &matches[i][*c];
-                    row.push(subject.clone());
-                    row.push(p.clone());
-                    row.push(o.clone());
-                }
-                out.emit(&row)?;
-                let mut pos = k;
-                loop {
-                    if pos == 0 {
-                        return Ok(());
-                    }
-                    pos -= 1;
-                    cursor[pos] += 1;
-                    if cursor[pos] < matches[pos].len() {
-                        break;
-                    }
-                    cursor[pos] = 0;
-                }
-            }
-        },
-    )
-}
-
-/// ID-native [`star_join_job`]: the shuffle carries LEB128-varint
-/// dictionary ids; star constants are compiled to ids against `dict` at
-/// plan time. The input must be an [`IdTripleRec`] relation (see
-/// [`mr_rdf::load_store_ids`]) and the engine must carry a dictionary
-/// snapshot (`Engine::with_dict`). Emits the same lexical [`Row`]s as the
-/// lexical job.
-pub fn star_join_job_ids(
-    name: impl Into<String>,
-    star: &StarPattern,
-    input: &str,
-    output: impl Into<String>,
-    pig_loads: bool,
-    dict: &Dictionary,
-) -> (JobSpec, RowSchema) {
-    let schema = star_schema(star);
-    let mut inputs = Vec::new();
-    if pig_loads {
-        if !star.bound_patterns().is_empty() {
-            inputs.push(InputBinding {
-                file: input.to_string(),
-                mapper: star_mapper_ids(star, PatternSet::BoundOnly, dict),
-            });
-        }
-        if !star.unbound_patterns().is_empty() {
-            inputs.push(InputBinding {
-                file: input.to_string(),
-                mapper: star_mapper_ids(star, PatternSet::UnboundOnly, dict),
-            });
-        }
-    } else {
-        inputs.push(InputBinding {
-            file: input.to_string(),
-            mapper: star_mapper_ids(star, PatternSet::All, dict),
-        });
-    }
-    let spec = JobSpec::map_reduce(name, inputs, star_reducer_ids(star.clone()), REDUCERS, output)
-        .with_full_scan();
-    (spec, schema)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,54 +264,6 @@ mod tests {
         for r in &rows {
             assert_eq!(&**schema.binding(r).unwrap().get("g").unwrap(), "<g2>");
         }
-    }
-
-    fn run_ids(star: StarPattern, pig: bool) -> (Vec<Row>, RowSchema, mrsim::JobStats) {
-        let mut dict = Dictionary::new();
-        let engine = Engine::unbounded();
-        mr_rdf::load_store_ids(&engine, "t_ids", &store(), &mut dict).unwrap();
-        let engine = engine.with_dict(std::sync::Arc::new(dict.clone()));
-        let (spec, schema) = star_join_job_ids("sj-ids", &star, "t_ids", "out", pig, &dict);
-        let stats = engine.run_job(&spec).unwrap();
-        let mut rows: Vec<Row> = engine.read_records("out").unwrap();
-        rows.sort();
-        (rows, schema, stats)
-    }
-
-    #[test]
-    fn id_star_join_matches_lexical_and_ships_fewer_bytes() {
-        for (star, pig) in [
-            (bound_star(), false),
-            (unbound_star(), false),
-            (unbound_star(), true),
-            (
-                unbound_star().with_subject_filter(rdf_query::ObjFilter::Equals(
-                    rdf_model::atom::atom("<g2>"),
-                )),
-                false,
-            ),
-        ] {
-            let (lex_rows, lex_schema, lex_stats) = run(star.clone(), pig);
-            let (id_rows, id_schema, id_stats) = run_ids(star, pig);
-            assert_eq!(lex_rows, id_rows, "pig {pig}");
-            assert_eq!(lex_schema.cols, id_schema.cols);
-            assert!(
-                id_stats.shuffle_wire_bytes() < lex_stats.shuffle_wire_bytes(),
-                "id wire {} >= lexical wire {} (pig {pig})",
-                id_stats.shuffle_wire_bytes(),
-                lex_stats.shuffle_wire_bytes()
-            );
-        }
-    }
-
-    #[test]
-    fn id_star_join_without_snapshot_fails_with_codec_error() {
-        let mut dict = Dictionary::new();
-        let engine = Engine::unbounded();
-        mr_rdf::load_store_ids(&engine, "t_ids", &store(), &mut dict).unwrap();
-        let (spec, _) = star_join_job_ids("sj-ids", &bound_star(), "t_ids", "out", false, &dict);
-        let err = engine.run_job(&spec).unwrap_err();
-        assert!(matches!(err, MrError::Codec(_)), "unexpected error: {err:?}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use mr_rdf::{load_store, PlanError, QueryRun, TRIPLES_FILE};
 use mrsim::{CostModel, Engine, FaultConfig, RecoveryPolicy, SimHdfs, SortStrategy, TraceSink};
-use ntga_core::Strategy;
+use ntga_core::{DataPlane, OptimizerConfig, Strategy};
 use rdf_model::TripleStore;
 use rdf_query::Query;
 use relbase::RelFlavor;
@@ -60,67 +60,41 @@ pub fn run_query(
     extract_solutions: bool,
 ) -> Result<QueryRun, PlanError> {
     let label = format!("{}-{label}", approach.label());
-    match approach {
-        Approach::Pig => {
-            relbase::execute(RelFlavor::Pig, engine, query, TRIPLES_FILE, &label, extract_solutions)
-        }
-        Approach::Hive => relbase::execute(
-            RelFlavor::Hive,
-            engine,
-            query,
-            TRIPLES_FILE,
-            &label,
-            extract_solutions,
-        ),
-        Approach::NtgaEager => ntga_core::execute(
-            Strategy::Eager,
-            engine,
-            query,
-            TRIPLES_FILE,
-            &label,
-            extract_solutions,
-        ),
-        Approach::NtgaLazyFull => ntga_core::execute(
-            Strategy::LazyFull,
-            engine,
-            query,
-            TRIPLES_FILE,
-            &label,
-            extract_solutions,
-        ),
-        Approach::NtgaLazyPartial(m) => ntga_core::execute(
-            Strategy::LazyPartial(m),
-            engine,
-            query,
-            TRIPLES_FILE,
-            &label,
-            extract_solutions,
-        ),
-        Approach::NtgaAuto(m) => ntga_core::execute(
-            Strategy::Auto(m),
-            engine,
-            query,
-            TRIPLES_FILE,
-            &label,
-            extract_solutions,
-        ),
-        Approach::NtgaAutoCost => {
-            // ANALYZE step: derive statistics from the relation the engine
-            // actually holds, then plan against them.
-            let stats = mr_rdf::read_store(engine, TRIPLES_FILE)
-                .map_err(|e| PlanError::Internal(format!("reading {TRIPLES_FILE}: {e}")))?
-                .stats();
-            ntga_core::execute_cost_based(
-                ntga_core::DataPlane::Lexical,
+    let plan = match approach {
+        Approach::Pig | Approach::Hive => {
+            let flavor = if approach == Approach::Pig { RelFlavor::Pig } else { RelFlavor::Hive };
+            return relbase::execute(
+                flavor,
                 engine,
                 query,
                 TRIPLES_FILE,
                 &label,
                 extract_solutions,
-                &stats,
-            )
+            );
         }
-    }
+        Approach::NtgaEager => Strategy::Eager.plan(query)?,
+        Approach::NtgaLazyFull => Strategy::LazyFull.plan(query)?,
+        Approach::NtgaLazyPartial(m) => Strategy::LazyPartial(m).plan(query)?,
+        Approach::NtgaAuto(m) => Strategy::Auto(m).plan(query)?,
+        Approach::NtgaAutoCost => {
+            // ANALYZE step: derive statistics from the relation the engine
+            // actually holds, then plan against them under the engine's
+            // own cost model and physical limits.
+            let stats = mr_rdf::read_store(engine, TRIPLES_FILE)
+                .map_err(|e| PlanError::Internal(format!("reading {TRIPLES_FILE}: {e}")))?
+                .stats();
+            ntga_core::optimize(query, &stats, &engine.cost, &OptimizerConfig::for_engine(engine))?
+        }
+    };
+    ntga_core::execute_plan_on(
+        DataPlane::Lexical,
+        &plan,
+        engine,
+        query,
+        TRIPLES_FILE,
+        &label,
+        extract_solutions,
+    )
 }
 
 /// Describes the simulated cluster for an experiment.

@@ -1,7 +1,7 @@
 //! The workspace's headline correctness invariant: every execution path —
-//! Pig-like, Hive-like, NTGA eager, NTGA lazy-full, NTGA lazy-partial —
-//! produces exactly the solution set of the naive reference evaluator, on
-//! randomized data and across the paper's query shapes.
+//! Pig-like, Hive-like, NTGA eager, lazy-full, lazy-partial, auto and
+//! cost-based — produces exactly the solution set of the naive reference
+//! evaluator, on randomized data and across the paper's query shapes.
 //!
 //! This is the full-pipeline generalization of the paper's Lemma 1
 //! (content equivalence of the relational star join and
@@ -58,6 +58,7 @@ fn approaches() -> Vec<Approach> {
         Approach::NtgaLazyPartial(1),
         Approach::NtgaLazyPartial(3),
         Approach::NtgaAuto(8),
+        Approach::NtgaAutoCost,
     ]
 }
 

@@ -1,6 +1,7 @@
-//! EXPLAIN over the whole testbed catalog: every query must produce a
-//! plan whose cycle count matches what execution actually performs, and
-//! the Auto strategy's unnest decisions must be visible in the plan text.
+//! EXPLAIN over the whole testbed catalog: every query, under every
+//! hand-picked strategy, must produce a plan whose cycle count matches what
+//! execution actually performs, and the Auto strategy's unnest decisions
+//! must be visible in the plan text.
 
 use ntga::prelude::*;
 
@@ -12,26 +13,57 @@ fn all_queries() -> Vec<ntga::testbed::TestQuery> {
     all
 }
 
+/// Every hand-picked strategy, paired with the approach that runs it.
+const STRATEGIES: [(Strategy, Approach); 5] = [
+    (Strategy::Eager, Approach::NtgaEager),
+    (Strategy::LazyFull, Approach::NtgaLazyFull),
+    (Strategy::LazyPartial(16), Approach::NtgaLazyPartial(16)),
+    (Strategy::Auto(64), Approach::NtgaAuto(64)),
+    (Strategy::Auto(1024), Approach::NtgaAuto(1024)),
+];
+
 #[test]
 fn explain_cycle_counts_match_execution() {
     let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(15));
     for tq in all_queries() {
-        let plan = ntga_core::explain(Strategy::Auto(64), &tq.query)
-            .unwrap_or_else(|e| panic!("{}: {e}", tq.id));
-        // Plans for BSBM queries can actually be executed against BSBM
-        // data; A/C queries still plan (the cycle structure is
-        // data-independent), so compare for everything.
-        let engine = ClusterConfig::default().engine_with(&store);
-        let run = run_query(Approach::NtgaAuto(64), &engine, &tq.query, &tq.id, false)
-            .unwrap_or_else(|e| panic!("{}: {e}", tq.id));
-        assert_eq!(
-            plan.cycles.len() as u64,
-            run.stats.mr_cycles,
-            "{}: EXPLAIN promises {} cycles, execution did {}",
-            tq.id,
-            plan.cycles.len(),
-            run.stats.mr_cycles
-        );
+        for (strategy, approach) in STRATEGIES {
+            let id = format!("{}/{}", tq.id, strategy.label());
+            let plan =
+                ntga_core::explain(strategy, &tq.query).unwrap_or_else(|e| panic!("{id}: {e}"));
+            // Plans for BSBM queries can actually be executed against BSBM
+            // data; A/C queries still plan (the cycle structure is
+            // data-independent), so compare for everything.
+            let engine = ClusterConfig::default().engine_with(&store);
+            let run = run_query(approach, &engine, &tq.query, &tq.id, false)
+                .unwrap_or_else(|e| panic!("{id}: {e}"));
+            assert_eq!(
+                plan.cycles.len() as u64,
+                run.stats.mr_cycles,
+                "{id}: EXPLAIN promises {} cycles, execution did {}",
+                plan.cycles.len(),
+                run.stats.mr_cycles
+            );
+
+            // The lowered plan's partial-unnest cycles are exactly the
+            // cycles EXPLAIN renders as TG_OptUnbJoin.
+            let lowered = strategy.plan(&tq.query).unwrap_or_else(|e| panic!("{id}: {e}"));
+            let partial: Vec<bool> = lowered
+                .cycles
+                .iter()
+                .map(|c| {
+                    matches!(
+                        c.algo,
+                        ntga_core::JoinAlgo::Reduce {
+                            mode: ntga_core::physical::UnnestMode::Partial(_),
+                            ..
+                        }
+                    )
+                })
+                .collect();
+            let rendered: Vec<bool> =
+                plan.cycles[1..].iter().map(|c| c.starts_with("TG_OptUnbJoin")).collect();
+            assert_eq!(partial, rendered, "{id}: lowered plan and EXPLAIN disagree\n{plan}");
+        }
     }
 }
 
