@@ -48,7 +48,8 @@ fn bench_grouping_cycle(c: &mut Criterion) {
                     &a6.query,
                     TRIPLES_FILE,
                     vec!["e0".into(), "e1".into()],
-                    eager,
+                    vec![eager; 2],
+                    None,
                 );
                 black_box(engine.run_job(&job).unwrap())
             })

@@ -80,7 +80,8 @@ fn main() {
         &c4.query,
         mr_rdf::TRIPLES_FILE,
         vec!["rf.ec0".into(), "rf.ec1".into()],
-        false,
+        vec![false; 2],
+        None,
     );
     engine.run_job(&job1).expect("group cycle");
     let mut tgs = Vec::new();

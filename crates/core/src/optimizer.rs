@@ -11,7 +11,7 @@
 //!
 //! * **per star** whether Job 1 β-unnests eagerly (perfect triplegroups,
 //!   full redundancy up front) or stays nested (lazy), via
-//!   [`crate::physical::group_filter_job_stars`];
+//!   [`crate::physical::group_filter_job`];
 //! * **per join cycle** the join algorithm — reduce-side [`UnnestMode::Exact`]
 //!   (`TG_Join`/`TG_UnbJoin`), reduce-side [`UnnestMode::Partial`] with a
 //!   priced φ granularity (`TG_OptUnbJoin`), or the map-side broadcast join
@@ -28,8 +28,8 @@
 //! carry no estimates and report no q-error.
 
 use crate::physical::{
-    group_filter_job_ids_stars, group_filter_job_stars, role_of, tg_broadcast_join_job,
-    tg_join_job, BuildSide, JoinRole, JoinSide, UnnestMode,
+    group_filter_job, role_of, tg_broadcast_join_job, tg_join_job, BuildSide, JoinRole, JoinSide,
+    UnnestMode,
 };
 use crate::tg::TgTuple;
 use mr_rdf::{check_query, PlanError, QueryRun};
@@ -684,28 +684,20 @@ pub fn execute_plan_profiled(
     };
 
     let ec_files: Vec<String> = (0..query.stars.len()).map(|i| format!("{label}.ec{i}")).collect();
-    let mut job1 = match plane {
-        DataPlane::Lexical => group_filter_job_stars(
-            format!("{label}.group"),
-            query,
-            input,
-            ec_files.clone(),
-            plan.eager_stars.clone(),
-        ),
-        DataPlane::Ids => {
-            let dict = engine.dict().ok_or_else(|| {
-                PlanError::Internal("ID-native execution needs Engine::with_dict".into())
-            })?;
-            group_filter_job_ids_stars(
-                format!("{label}.group"),
-                query,
-                input,
-                ec_files.clone(),
-                plan.eager_stars.clone(),
-                dict,
-            )
-        }
-    }
+    let dict = match plane {
+        DataPlane::Lexical => None,
+        DataPlane::Ids => Some(engine.dict().map(|d| &**d).ok_or_else(|| {
+            PlanError::Internal("ID-native execution needs Engine::with_dict".into())
+        })?),
+    };
+    let mut job1 = group_filter_job(
+        format!("{label}.group"),
+        query,
+        input,
+        ec_files.clone(),
+        plan.eager_stars.clone(),
+        dict,
+    )
     .with_reducers(plan.job1_reduce_tasks);
     job1.estimated_output_records = plan.estimated_job1_records;
     if let Err(e) = wf.run_job(job1) {

@@ -3,9 +3,12 @@
 //! * [`group_filter_job`] — **Job 1**: `TG_GroupBy` (map tags triples by
 //!   subject) + `TG_UnbGrpFilter` (reduce builds subject triplegroups and
 //!   matches them against every star subpattern at once — the single
-//!   grouping cycle that computes ALL star joins). With `eager = true` the
-//!   reduce additionally β-unnests (the paper's **EagerUnnest**); otherwise
-//!   annotated triplegroups stay nested (**LazyUnnest**).
+//!   grouping cycle that computes ALL star joins). Stars placed eager are
+//!   additionally β-unnested in the reduce (the paper's **EagerUnnest**);
+//!   the others' annotated triplegroups stay nested (**LazyUnnest**). One
+//!   builder serves both data planes: given a dictionary, the map side
+//!   reads and shuffles varint ids and the reduce side resolves them to
+//!   tokens before the shared `TG_UnbGrpFilter` core runs.
 //! * [`tg_join_job`] — **Job 2**: join between two triplegroup equivalence
 //!   classes. The map side evaluates the join role of each side:
 //!   subject joins ship the triplegroup as-is; bound-object joins pin the
@@ -87,82 +90,98 @@ pub fn phi(key: &str, m: u64) -> u64 {
 ///
 /// The job writes one output per star: `outputs[i]` holds the annotated
 /// triplegroups of equivalence class `i` (wrapped as single-component
-/// [`TgTuple`]s).
+/// [`TgTuple`]s). `eager[i]` places star `i`'s unnest: β-unnested in the
+/// reduce (eager) or left nested (lazy). The cost-based optimizer unnests
+/// stars whose triplegroups carry no redundancy (no multi-valued or
+/// unbound candidates) while keeping expansive stars nested.
+///
+/// `ids` selects the data plane. `None` reads [`TripleRec`]s and shuffles
+/// lexical tokens. `Some(dict)` reads [`IdTripleRec`]s and shuffles
+/// LEB128-varint dictionary ids (`VarId` subject keys, [`IdPair`]
+/// property/object values): star constants compile to ids against `dict`
+/// at plan time, so the map side matches with integer compares, and the
+/// reduce side resolves ids back to [`Atom`]s through the engine's
+/// dictionary snapshot (attach it with `Engine::with_dict`) and re-sorts
+/// each group into the lexical wire order. Both planes then run the same
+/// `TG_UnbGrpFilter`, so their [`TgTuple`]s are byte-identical (file order
+/// aside — the two planes partition by different key bytes).
 pub fn group_filter_job(
     name: impl Into<String>,
     query: &Query,
     input: &str,
     outputs: Vec<String>,
-    eager: bool,
-) -> JobSpec {
-    let per_star = vec![eager; query.stars.len()];
-    group_filter_job_stars(name, query, input, outputs, per_star)
-}
-
-/// [`group_filter_job`] with a **per-star** unnest placement: `eager[i]`
-/// says whether equivalence class `i` is β-unnested in the reduce (eager)
-/// or left nested (lazy). The cost-based optimizer uses this to unnest
-/// stars whose triplegroups carry no redundancy (no multi-valued or
-/// unbound candidates) while keeping expansive stars nested.
-pub fn group_filter_job_stars(
-    name: impl Into<String>,
-    query: &Query,
-    input: &str,
-    outputs: Vec<String>,
     eager: Vec<bool>,
+    ids: Option<&Dictionary>,
 ) -> JobSpec {
     assert_eq!(outputs.len(), query.stars.len(), "one output per star");
     assert_eq!(eager.len(), query.stars.len(), "one placement per star");
-    let stars_map = query.stars.clone();
-    let mapper =
-        map_fn(move |rec: TripleRec, out: &mut TypedMapEmitter<'_, Atom, (Atom, Atom)>| {
-            let t = &rec.0;
-            // Map-side relevance filter: ship the triple only if it can
-            // match some pattern of some star (this is where
-            // partially-bound-object filters prune, as the paper notes for
-            // query B2).
-            let relevant = stars_map.iter().any(|star| {
-                star.subject_accepts(&t.s)
-                    && star.patterns.iter().any(|p| p.matches_structurally(t))
-            });
-            if relevant {
-                out.emit(&t.s, &(t.p.clone(), t.o.clone()));
-            }
-            Ok(())
-        });
-    let stars_red = query.stars.clone();
-    let reducer = reduce_fn_ctx(
-        move |ctx: &mrsim::TaskContext,
-              subject: Atom,
-              pairs: Vec<(Atom, Atom)>,
-              out: &mut TypedOutEmitter<'_, TgTuple>| {
-            ctx.count(op::GROUPS_IN, 1);
-            ctx.count(op::PAIRS_IN, pairs.len() as u64);
-            let tg = TripleGroup { subject, pairs };
-            let mut admitted = 0u64;
-            for (i, star) in stars_red.iter().enumerate() {
-                if let Some(ann) = match_star(&tg, star, i as u64) {
-                    admitted += 1;
-                    if eager[i] {
-                        ctx.count(op::UNNEST_IN, 1);
-                        let perfects = crate::logical::beta_unnest(&ann);
-                        ctx.record(op::UNNEST_WIDTH, perfects.len() as u64);
-                        for perfect in perfects {
-                            ctx.count(op::UNNEST_OUT, 1);
-                            out.emit_to(i, &TgTuple(vec![perfect]))?;
-                        }
-                    } else {
-                        out.emit_to(i, &TgTuple(vec![ann]))?;
+    let filter = UnbGrpFilter { stars: query.stars.clone(), eager };
+    let (mapper, reducer) = match ids {
+        None => {
+            let stars = query.stars.clone();
+            let mapper =
+                map_fn(move |rec: TripleRec, out: &mut TypedMapEmitter<'_, Atom, (Atom, Atom)>| {
+                    let t = &rec.0;
+                    // Map-side relevance filter: ship the triple only if it
+                    // can match some pattern of some star (this is where
+                    // partially-bound-object filters prune, as the paper
+                    // notes for query B2).
+                    let relevant = stars.iter().any(|star| {
+                        star.subject_accepts(&t.s)
+                            && star.patterns.iter().any(|p| p.matches_structurally(t))
+                    });
+                    if relevant {
+                        out.emit(&t.s, &(t.p.clone(), t.o.clone()));
                     }
-                }
-            }
-            ctx.count(op::ADMITTED, admitted);
-            if admitted == 0 {
-                ctx.count(op::DROPPED, 1);
-            }
-            Ok(())
-        },
-    );
+                    Ok(())
+                });
+            let reducer = reduce_fn_ctx(
+                move |ctx: &TaskContext,
+                      subject: Atom,
+                      pairs: Vec<(Atom, Atom)>,
+                      out: &mut TypedOutEmitter<'_, TgTuple>| {
+                    filter.reduce(ctx, TripleGroup { subject, pairs }, out)
+                },
+            );
+            (mapper, reducer)
+        }
+        Some(dict) => {
+            let stars: Vec<IdStarTest> =
+                query.stars.iter().map(|s| IdStarTest::compile(s, dict)).collect();
+            let mapper = map_fn_ctx(
+                move |ctx: &TaskContext,
+                      rec: IdTripleRec,
+                      out: &mut TypedMapEmitter<'_, VarId, IdPair>| {
+                    for star in &stars {
+                        if star.relevant(&rec, ctx)? {
+                            out.emit(&VarId(rec.s), &IdPair(rec.p, rec.o));
+                            return Ok(());
+                        }
+                    }
+                    Ok(())
+                },
+            );
+            let reducer = reduce_fn_ctx(
+                move |ctx: &TaskContext,
+                      subject: VarId,
+                      ids: Vec<IdPair>,
+                      out: &mut TypedOutEmitter<'_, TgTuple>| {
+                    let subject = ctx.resolve_atom(subject.0)?;
+                    let mut pairs = ids
+                        .iter()
+                        .map(|&IdPair(p, o)| Ok((ctx.resolve_atom(p)?, ctx.resolve_atom(o)?)))
+                        .collect::<Result<Vec<(Atom, Atom)>, MrError>>()?;
+                    // The lexical plane's reducer sees values in
+                    // encoded-token order (the shuffle sorts by value
+                    // bytes); restore that order after resolution so
+                    // outputs are byte-identical.
+                    pairs.sort_by_cached_key(Rec::to_bytes);
+                    filter.reduce(ctx, TripleGroup { subject, pairs }, out)
+                },
+            );
+            (mapper, reducer)
+        }
+    };
     let mut outs = outputs.into_iter();
     let first = outs.next().expect("at least one star");
     let mut spec = JobSpec::map_reduce(
@@ -179,114 +198,46 @@ pub fn group_filter_job_stars(
     spec
 }
 
-// ---------------------------------------------------------------------------
-// Job 1, ID-native: varint dictionary ids through the shuffle
-// ---------------------------------------------------------------------------
-
-/// ID-native Job 1: same operators as [`group_filter_job`], but the
-/// shuffle carries LEB128-varint dictionary ids (`VarId` subject keys,
-/// [`IdPair`] property/object values) instead of lexical tokens.
-///
-/// Star constants are compiled to ids against `dict` at plan time, so the
-/// map side matches with integer compares; the reduce side resolves ids
-/// back to [`Atom`]s through the engine's dictionary snapshot (attach it
-/// with `Engine::with_dict`) and re-sorts each group into the lexical
-/// wire order, so the emitted [`TgTuple`]s are byte-identical to the
-/// lexical job's (file order aside — the two paths partition by
-/// different key bytes).
-pub fn group_filter_job_ids(
-    name: impl Into<String>,
-    query: &Query,
-    input: &str,
-    outputs: Vec<String>,
-    eager: bool,
-    dict: &Dictionary,
-) -> JobSpec {
-    let per_star = vec![eager; query.stars.len()];
-    group_filter_job_ids_stars(name, query, input, outputs, per_star, dict)
+/// `TG_UnbGrpFilter`: the reduce core of Job 1, shared by both data planes.
+struct UnbGrpFilter {
+    stars: Vec<StarPattern>,
+    eager: Vec<bool>,
 }
 
-/// [`group_filter_job_ids`] with a **per-star** unnest placement (see
-/// [`group_filter_job_stars`]).
-pub fn group_filter_job_ids_stars(
-    name: impl Into<String>,
-    query: &Query,
-    input: &str,
-    outputs: Vec<String>,
-    eager: Vec<bool>,
-    dict: &Dictionary,
-) -> JobSpec {
-    assert_eq!(outputs.len(), query.stars.len(), "one output per star");
-    assert_eq!(eager.len(), query.stars.len(), "one placement per star");
-    let stars_map: Vec<IdStarTest> =
-        query.stars.iter().map(|s| IdStarTest::compile(s, dict)).collect();
-    let mapper = map_fn_ctx(
-        move |ctx: &TaskContext, rec: IdTripleRec, out: &mut TypedMapEmitter<'_, VarId, IdPair>| {
-            for star in &stars_map {
-                if star.relevant(&rec, ctx)? {
-                    out.emit(&VarId(rec.s), &IdPair(rec.p, rec.o));
-                    return Ok(());
-                }
-            }
-            Ok(())
-        },
-    );
-    let stars_red = query.stars.clone();
-    let reducer = reduce_fn_ctx(
-        move |ctx: &TaskContext,
-              subject: VarId,
-              ids: Vec<IdPair>,
-              out: &mut TypedOutEmitter<'_, TgTuple>| {
-            ctx.count(op::GROUPS_IN, 1);
-            ctx.count(op::PAIRS_IN, ids.len() as u64);
-            let subject = ctx.resolve_atom(subject.0)?;
-            let mut pairs = ids
-                .iter()
-                .map(|&IdPair(p, o)| Ok((ctx.resolve_atom(p)?, ctx.resolve_atom(o)?)))
-                .collect::<Result<Vec<(Atom, Atom)>, MrError>>()?;
-            // The lexical job's reducer sees values in encoded-token
-            // order (the shuffle sorts by value bytes); restore that
-            // order after resolution so outputs are byte-identical.
-            pairs.sort_by_cached_key(Rec::to_bytes);
-            let tg = TripleGroup { subject, pairs };
-            let mut admitted = 0u64;
-            for (i, star) in stars_red.iter().enumerate() {
-                if let Some(ann) = match_star(&tg, star, i as u64) {
-                    admitted += 1;
-                    if eager[i] {
-                        ctx.count(op::UNNEST_IN, 1);
-                        let perfects = crate::logical::beta_unnest(&ann);
-                        ctx.record(op::UNNEST_WIDTH, perfects.len() as u64);
-                        for perfect in perfects {
-                            ctx.count(op::UNNEST_OUT, 1);
-                            out.emit_to(i, &TgTuple(vec![perfect]))?;
-                        }
-                    } else {
-                        out.emit_to(i, &TgTuple(vec![ann]))?;
+impl UnbGrpFilter {
+    /// Match one subject triplegroup against every star; emit each
+    /// admission to its star's output, β-unnested if that star is eager.
+    fn reduce(
+        &self,
+        ctx: &TaskContext,
+        tg: TripleGroup,
+        out: &mut TypedOutEmitter<'_, TgTuple>,
+    ) -> Result<(), MrError> {
+        ctx.count(op::GROUPS_IN, 1);
+        ctx.count(op::PAIRS_IN, tg.pairs.len() as u64);
+        let mut admitted = 0u64;
+        for (i, star) in self.stars.iter().enumerate() {
+            if let Some(ann) = match_star(&tg, star, i as u64) {
+                admitted += 1;
+                if self.eager[i] {
+                    ctx.count(op::UNNEST_IN, 1);
+                    let perfects = crate::logical::beta_unnest(&ann);
+                    ctx.record(op::UNNEST_WIDTH, perfects.len() as u64);
+                    for perfect in perfects {
+                        ctx.count(op::UNNEST_OUT, 1);
+                        out.emit_to(i, &TgTuple(vec![perfect]))?;
                     }
+                } else {
+                    out.emit_to(i, &TgTuple(vec![ann]))?;
                 }
             }
-            ctx.count(op::ADMITTED, admitted);
-            if admitted == 0 {
-                ctx.count(op::DROPPED, 1);
-            }
-            Ok(())
-        },
-    );
-    let mut outs = outputs.into_iter();
-    let first = outs.next().expect("at least one star");
-    let mut spec = JobSpec::map_reduce(
-        name,
-        vec![InputBinding { file: input.to_string(), mapper }],
-        reducer,
-        REDUCERS,
-        first,
-    )
-    .with_full_scan();
-    for o in outs {
-        spec = spec.with_extra_output(o);
+        }
+        ctx.count(op::ADMITTED, admitted);
+        if admitted == 0 {
+            ctx.count(op::DROPPED, 1);
+        }
+        Ok(())
     }
-    spec
 }
 
 // ---------------------------------------------------------------------------
@@ -722,7 +673,8 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &store()).unwrap();
         let query = unbound_query();
-        let job = group_filter_job("job1", &query, "t", vec!["ec0".into(), "ec1".into()], eager);
+        let outputs = vec!["ec0".into(), "ec1".into()];
+        let job = group_filter_job("job1", &query, "t", outputs, vec![eager; 2], None);
         engine.run_job(&job).unwrap();
         (engine, query)
     }
@@ -832,7 +784,14 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
-        let job1 = group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], false);
+        let job1 = group_filter_job(
+            "j1",
+            &query,
+            "t",
+            vec!["ec0".into(), "ec1".into()],
+            vec![false; 2],
+            None,
+        );
         engine.run_job(&job1).unwrap();
         let mk_join = |mode, out: &str| {
             tg_join_job(
@@ -863,7 +822,14 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
-        let job = group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], true);
+        let job = group_filter_job(
+            "j1",
+            &query,
+            "t",
+            vec!["e0".into(), "e1".into()],
+            vec![true; 2],
+            None,
+        );
         let ops = engine.run_job(&job).unwrap().ops;
         assert_eq!(ops.get(op::GROUPS_IN), 5); // g1 g2 go1 go2 x1
         assert_eq!(ops.get(op::PAIRS_IN), 8);
@@ -876,7 +842,14 @@ mod tests {
         // Lazy run admits the same groups but never unnests.
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
-        let job = group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], false);
+        let job = group_filter_job(
+            "j1",
+            &query,
+            "t",
+            vec!["e0".into(), "e1".into()],
+            vec![false; 2],
+            None,
+        );
         let ops = engine.run_job(&job).unwrap().ops;
         assert_eq!(ops.get(op::ADMITTED), 4);
         assert_eq!(ops.get(op::UNNEST_IN), 0);
@@ -895,24 +868,25 @@ mod tests {
              FILTER contains(?x, \"u\") }",
         )
         .unwrap();
-        for eager in [false, true] {
+        // Every per-star unnest placement, uniform and mixed.
+        for eager in [[false, false], [true, true], [true, false], [false, true]] {
             let lex = Engine::unbounded();
             load_store(&lex, "t", &s).unwrap();
-            let lex_job =
-                group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], eager);
+            let outputs = vec!["e0".into(), "e1".into()];
+            let lex_job = group_filter_job("j1", &query, "t", outputs, eager.to_vec(), None);
             let lex_stats = lex.run_job(&lex_job).unwrap();
 
             let mut dict = Dictionary::new();
             let ids = Engine::unbounded();
             mr_rdf::load_store_ids(&ids, mr_rdf::ID_TRIPLES_FILE, &s, &mut dict).unwrap();
             let ids = ids.with_dict(Arc::new(dict.clone()));
-            let id_job = group_filter_job_ids(
+            let id_job = group_filter_job(
                 "j1-ids",
                 &query,
                 mr_rdf::ID_TRIPLES_FILE,
                 vec!["e0".into(), "e1".into()],
-                eager,
-                &dict,
+                eager.to_vec(),
+                Some(&dict),
             );
             let id_stats = ids.run_job(&id_job).unwrap();
 
@@ -928,7 +902,7 @@ mod tests {
                 assert_eq!(
                     lex_stats.ops.get(c),
                     id_stats.ops.get(c),
-                    "counter {c} (eager {eager})"
+                    "counter {c} (eager {eager:?})"
                 );
             }
             // Byte-identical outputs once sorted (the two paths partition
@@ -938,13 +912,13 @@ mod tests {
                 let mut b: Vec<TgTuple> = ids.read_records(out).unwrap();
                 a.sort_by_cached_key(Rec::to_bytes);
                 b.sort_by_cached_key(Rec::to_bytes);
-                assert_eq!(a, b, "output {out} (eager {eager})");
+                assert_eq!(a, b, "output {out} (eager {eager:?})");
             }
             // The ID plane ships varints where the lexical plane ships
             // tokens: strictly fewer wire bytes through the shuffle.
             assert!(
                 id_stats.shuffle_wire_bytes() < lex_stats.shuffle_wire_bytes(),
-                "id wire {} >= lexical wire {} (eager {eager})",
+                "id wire {} >= lexical wire {} (eager {eager:?})",
                 id_stats.shuffle_wire_bytes(),
                 lex_stats.shuffle_wire_bytes()
             );
@@ -958,13 +932,13 @@ mod tests {
         let engine = Engine::unbounded();
         mr_rdf::load_store_ids(&engine, mr_rdf::ID_TRIPLES_FILE, &s, &mut dict).unwrap();
         // No `with_dict`: the reduce boundary cannot resolve ids.
-        let job = group_filter_job_ids(
+        let job = group_filter_job(
             "j1-ids",
             &unbound_query(),
             mr_rdf::ID_TRIPLES_FILE,
             vec!["e0".into(), "e1".into()],
-            false,
-            &dict,
+            vec![false; 2],
+            Some(&dict),
         );
         let err = engine.run_job(&job).unwrap_err();
         assert!(matches!(err, MrError::Codec(_)), "unexpected error: {err:?}");
@@ -980,7 +954,14 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
-        let job1 = group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], false);
+        let job1 = group_filter_job(
+            "j1",
+            &query,
+            "t",
+            vec!["ec0".into(), "ec1".into()],
+            vec![false; 2],
+            None,
+        );
         engine.run_job(&job1).unwrap();
         let mk_join = |mode, out: &str| {
             tg_join_job(
@@ -1025,7 +1006,14 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
-        let job1 = group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], false);
+        let job1 = group_filter_job(
+            "j1",
+            &query,
+            "t",
+            vec!["ec0".into(), "ec1".into()],
+            vec![false; 2],
+            None,
+        );
         engine.run_job(&job1).unwrap();
         let tuples: Vec<TgTuple> = engine.read_records("ec0").unwrap();
         for tuple in &tuples {
@@ -1076,7 +1064,14 @@ mod tests {
                 let engine = Engine::unbounded().with_workers(workers);
                 load_store(&engine, "t", &store()).unwrap();
                 let q = unbound_query();
-                let j1 = group_filter_job("j1", &q, "t", vec!["ec0".into(), "ec1".into()], false);
+                let j1 = group_filter_job(
+                    "j1",
+                    &q,
+                    "t",
+                    vec!["ec0".into(), "ec1".into()],
+                    vec![false; 2],
+                    None,
+                );
                 engine.run_job(&j1).unwrap();
                 let bj = tg_broadcast_join_job("bjoin", left.clone(), right.clone(), build, "out");
                 let stats = engine.run_job(&bj).unwrap();
@@ -1120,7 +1115,14 @@ mod tests {
         load_store(&engine, "t", &store()).unwrap();
         let q = unbound_query();
         engine
-            .run_job(&group_filter_job("j1", &q, "t", vec!["ec0".into(), "ec1".into()], false))
+            .run_job(&group_filter_job(
+                "j1",
+                &q,
+                "t",
+                vec!["ec0".into(), "ec1".into()],
+                vec![false; 2],
+                None,
+            ))
             .unwrap();
         let stats = engine
             .run_job(&tg_broadcast_join_job("bjoin", left, right, BuildSide::Right, "out"))

@@ -5,6 +5,9 @@
 //! be chained without generics leaking into the engine), while user code
 //! writes *typed* mappers/reducers via [`map_fn`], [`map_only_fn`] and
 //! [`reduce_fn`], which handle encode/decode and text-size accounting.
+//! Each operator kind has one adapter, which hands the closure the
+//! [`TaskContext`] (`map_fn_ctx`, `map_only_fn_ctx`, `reduce_fn_ctx`); the
+//! context-free forms are one-call wrappers that drop it.
 
 use crate::codec::Rec;
 use crate::counters::OpCounters;
@@ -398,98 +401,50 @@ impl<O: Rec> TypedOutEmitter<'_, O> {
     }
 }
 
-struct MapFnOp<I, K, V, F> {
+struct TypedMapOp<I, K, V, F> {
     f: F,
     _pd: PhantomData<fn(I) -> (K, V)>,
 }
 
-impl<I, K, V, F> RawMapOp for MapFnOp<I, K, V, F>
+impl<I, K, V, F> RawMapOp for TypedMapOp<I, K, V, F>
 where
     I: Rec,
     K: Rec,
     V: Rec,
-    F: Fn(I, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError> + Send + Sync,
+    F: Fn(&TaskContext, I, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError> + Send + Sync,
 {
     fn run(&self, ctx: &TaskContext, record: &[u8], out: &mut MapEmitter) -> Result<(), MrError> {
         let input = I::from_bytes_with(record, &ctx.atoms)?;
         let mut emitter = TypedMapEmitter { raw: out, _pd: PhantomData };
-        (self.f)(input, &mut emitter)
+        (self.f)(ctx, input, &mut emitter)
     }
 }
 
-struct MapOnlyFnOp<I, O, F> {
+struct TypedMapOnlyOp<I, O, F> {
     f: F,
     _pd: PhantomData<fn(I) -> O>,
 }
 
-impl<I, O, F> RawMapOnlyOp for MapOnlyFnOp<I, O, F>
+impl<I, O, F> RawMapOnlyOp for TypedMapOnlyOp<I, O, F>
 where
     I: Rec,
     O: Rec,
-    F: Fn(I, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync,
+    F: Fn(&TaskContext, I, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync,
 {
     fn run(&self, ctx: &TaskContext, record: &[u8], out: &mut OutEmitter) -> Result<(), MrError> {
         let input = I::from_bytes_with(record, &ctx.atoms)?;
         let mut emitter = TypedOutEmitter { raw: out, _pd: PhantomData };
-        (self.f)(input, &mut emitter)
+        (self.f)(ctx, input, &mut emitter)
     }
 }
 
-struct ReduceFnOp<K, V, O, F> {
-    f: F,
-    _pd: PhantomData<fn(K, V) -> O>,
-}
-
-impl<K, V, O, F> RawReduceOp for ReduceFnOp<K, V, O, F>
-where
-    K: Rec,
-    V: Rec,
-    O: Rec,
-    F: Fn(K, Vec<V>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync,
-{
-    fn run(
-        &self,
-        ctx: &TaskContext,
-        key: &[u8],
-        values: &[&[u8]],
-        out: &mut OutEmitter,
-    ) -> Result<(), MrError> {
-        let key = K::from_bytes_with(key, &ctx.atoms)?;
-        let values: Result<Vec<V>, MrError> =
-            values.iter().map(|v| V::from_bytes_with(v, &ctx.atoms)).collect();
-        let mut emitter = TypedOutEmitter { raw: out, _pd: PhantomData };
-        (self.f)(key, values?, &mut emitter)
-    }
-}
-
-/// Wrap a typed closure as a shuffle-producing map operator.
-pub fn map_fn<I, K, V, F>(f: F) -> Arc<dyn RawMapOp>
-where
-    I: Rec,
-    K: Rec,
-    V: Rec,
-    F: Fn(I, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError> + Send + Sync + 'static,
-{
-    Arc::new(MapFnOp { f, _pd: PhantomData })
-}
-
-/// Wrap a typed closure as a map-only operator.
-pub fn map_only_fn<I, O, F>(f: F) -> Arc<dyn RawMapOnlyOp>
-where
-    I: Rec,
-    O: Rec,
-    F: Fn(I, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync + 'static,
-{
-    Arc::new(MapOnlyFnOp { f, _pd: PhantomData })
-}
-
-struct CombineFnOp<K, V, F> {
+struct TypedCombineOp<K, V, F> {
     f: F,
     #[allow(clippy::type_complexity)]
     _pd: PhantomData<fn(K, V) -> (K, V)>,
 }
 
-impl<K, V, F> RawCombineOp for CombineFnOp<K, V, F>
+impl<K, V, F> RawCombineOp for TypedCombineOp<K, V, F>
 where
     K: Rec,
     V: Rec,
@@ -510,52 +465,12 @@ where
     }
 }
 
-/// Wrap a typed closure as a combiner.
-pub fn combine_fn<K, V, F>(f: F) -> Arc<dyn RawCombineOp>
-where
-    K: Rec,
-    V: Rec,
-    F: Fn(K, Vec<V>, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError> + Send + Sync + 'static,
-{
-    Arc::new(CombineFnOp { f, _pd: PhantomData })
-}
-
-/// Wrap a typed closure as a reduce operator.
-pub fn reduce_fn<K, V, O, F>(f: F) -> Arc<dyn RawReduceOp>
-where
-    K: Rec,
-    V: Rec,
-    O: Rec,
-    F: Fn(K, Vec<V>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync + 'static,
-{
-    Arc::new(ReduceFnOp { f, _pd: PhantomData })
-}
-
-struct CtxMapFnOp<I, K, V, F> {
-    f: F,
-    _pd: PhantomData<fn(I) -> (K, V)>,
-}
-
-impl<I, K, V, F> RawMapOp for CtxMapFnOp<I, K, V, F>
-where
-    I: Rec,
-    K: Rec,
-    V: Rec,
-    F: Fn(&TaskContext, I, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError> + Send + Sync,
-{
-    fn run(&self, ctx: &TaskContext, record: &[u8], out: &mut MapEmitter) -> Result<(), MrError> {
-        let input = I::from_bytes_with(record, &ctx.atoms)?;
-        let mut emitter = TypedMapEmitter { raw: out, _pd: PhantomData };
-        (self.f)(ctx, input, &mut emitter)
-    }
-}
-
-struct CtxReduceFnOp<K, V, O, F> {
+struct TypedReduceOp<K, V, O, F> {
     f: F,
     _pd: PhantomData<fn(K, V) -> O>,
 }
 
-impl<K, V, O, F> RawReduceOp for CtxReduceFnOp<K, V, O, F>
+impl<K, V, O, F> RawReduceOp for TypedReduceOp<K, V, O, F>
 where
     K: Rec,
     V: Rec,
@@ -579,8 +494,9 @@ where
     }
 }
 
-/// Like [`map_fn`], but the closure also receives the [`TaskContext`]
-/// (for operator counters via [`TaskContext::count`] or direct interning).
+/// Wrap a typed closure as a shuffle-producing map operator; the closure
+/// also receives the [`TaskContext`] (for operator counters via
+/// [`TaskContext::count`], dictionary resolution, or direct interning).
 pub fn map_fn_ctx<I, K, V, F>(f: F) -> Arc<dyn RawMapOp>
 where
     I: Rec,
@@ -591,10 +507,59 @@ where
         + Sync
         + 'static,
 {
-    Arc::new(CtxMapFnOp { f, _pd: PhantomData })
+    Arc::new(TypedMapOp { f, _pd: PhantomData })
 }
 
-/// Like [`reduce_fn`], but the closure also receives the [`TaskContext`].
+/// [`map_fn_ctx`] for a closure that does not need the [`TaskContext`].
+pub fn map_fn<I, K, V, F>(f: F) -> Arc<dyn RawMapOp>
+where
+    I: Rec,
+    K: Rec,
+    V: Rec,
+    F: Fn(I, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError> + Send + Sync + 'static,
+{
+    map_fn_ctx(move |_: &TaskContext, input, out: &mut TypedMapEmitter<'_, K, V>| f(input, out))
+}
+
+/// Wrap a typed closure as a map-only operator; the closure also receives
+/// the [`TaskContext`] — required by broadcast-join mappers, which read
+/// their build side via [`TaskContext::broadcast`] and cache the built
+/// hash table via [`TaskContext::task_state`].
+pub fn map_only_fn_ctx<I, O, F>(f: F) -> Arc<dyn RawMapOnlyOp>
+where
+    I: Rec,
+    O: Rec,
+    F: Fn(&TaskContext, I, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError>
+        + Send
+        + Sync
+        + 'static,
+{
+    Arc::new(TypedMapOnlyOp { f, _pd: PhantomData })
+}
+
+/// [`map_only_fn_ctx`] for a closure that does not need the
+/// [`TaskContext`].
+pub fn map_only_fn<I, O, F>(f: F) -> Arc<dyn RawMapOnlyOp>
+where
+    I: Rec,
+    O: Rec,
+    F: Fn(I, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync + 'static,
+{
+    map_only_fn_ctx(move |_: &TaskContext, input, out: &mut TypedOutEmitter<'_, O>| f(input, out))
+}
+
+/// Wrap a typed closure as a combiner.
+pub fn combine_fn<K, V, F>(f: F) -> Arc<dyn RawCombineOp>
+where
+    K: Rec,
+    V: Rec,
+    F: Fn(K, Vec<V>, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError> + Send + Sync + 'static,
+{
+    Arc::new(TypedCombineOp { f, _pd: PhantomData })
+}
+
+/// Wrap a typed closure as a reduce operator; the closure also receives
+/// the [`TaskContext`].
 pub fn reduce_fn_ctx<K, V, O, F>(f: F) -> Arc<dyn RawReduceOp>
 where
     K: Rec,
@@ -605,41 +570,21 @@ where
         + Sync
         + 'static,
 {
-    Arc::new(CtxReduceFnOp { f, _pd: PhantomData })
+    Arc::new(TypedReduceOp { f, _pd: PhantomData })
 }
 
-struct CtxMapOnlyFnOp<I, O, F> {
-    f: F,
-    _pd: PhantomData<fn(I) -> O>,
-}
-
-impl<I, O, F> RawMapOnlyOp for CtxMapOnlyFnOp<I, O, F>
+/// [`reduce_fn_ctx`] for a closure that does not need the
+/// [`TaskContext`].
+pub fn reduce_fn<K, V, O, F>(f: F) -> Arc<dyn RawReduceOp>
 where
-    I: Rec,
+    K: Rec,
+    V: Rec,
     O: Rec,
-    F: Fn(&TaskContext, I, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync,
+    F: Fn(K, Vec<V>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync + 'static,
 {
-    fn run(&self, ctx: &TaskContext, record: &[u8], out: &mut OutEmitter) -> Result<(), MrError> {
-        let input = I::from_bytes_with(record, &ctx.atoms)?;
-        let mut emitter = TypedOutEmitter { raw: out, _pd: PhantomData };
-        (self.f)(ctx, input, &mut emitter)
-    }
-}
-
-/// Like [`map_only_fn`], but the closure also receives the
-/// [`TaskContext`] — required by broadcast-join mappers, which read their
-/// build side via [`TaskContext::broadcast`] and cache the built hash
-/// table via [`TaskContext::task_state`].
-pub fn map_only_fn_ctx<I, O, F>(f: F) -> Arc<dyn RawMapOnlyOp>
-where
-    I: Rec,
-    O: Rec,
-    F: Fn(&TaskContext, I, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError>
-        + Send
-        + Sync
-        + 'static,
-{
-    Arc::new(CtxMapOnlyFnOp { f, _pd: PhantomData })
+    reduce_fn_ctx(move |_: &TaskContext, key, values, out: &mut TypedOutEmitter<'_, O>| {
+        f(key, values, out)
+    })
 }
 
 // ---------------------------------------------------------------------------

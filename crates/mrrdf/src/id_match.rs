@@ -55,8 +55,6 @@ pub struct IdPatternTest {
     pub property: IdTest,
     /// Object test (includes compiled object filters).
     pub object: IdTest,
-    /// Whether the source pattern had an unbound property variable.
-    pub unbound_property: bool,
 }
 
 impl IdPatternTest {
@@ -75,7 +73,7 @@ impl IdPatternTest {
             ObjPattern::Const(a) => IdTest::Eq(dict.get(a)),
             ObjPattern::Filtered(_, f) => IdTest::compile_filter(f, dict),
         };
-        IdPatternTest { subject, property, object, unbound_property: pat.is_unbound_property() }
+        IdPatternTest { subject, property, object }
     }
 
     /// Structural match of an id triple, mirroring
@@ -137,8 +135,6 @@ mod tests {
         assert!(matches!(star.patterns[0].property, IdTest::Eq(Some(id)) if id == label));
         assert!(matches!(star.patterns[1].property, IdTest::Any));
         assert!(matches!(star.patterns[1].object, IdTest::Str(ObjFilter::Contains(_))));
-        assert!(!star.patterns[0].unbound_property);
-        assert!(star.patterns[1].unbound_property);
     }
 
     #[test]

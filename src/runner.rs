@@ -43,11 +43,6 @@ impl Approach {
             Approach::NtgaAutoCost => "CostBased".into(),
         }
     }
-
-    /// The default panel of approaches compared throughout the paper.
-    pub fn paper_panel() -> Vec<Approach> {
-        vec![Approach::Pig, Approach::Hive, Approach::NtgaEager, Approach::NtgaAuto(1024)]
-    }
 }
 
 /// Run one query with one approach against a triple relation already
@@ -170,7 +165,7 @@ impl ClusterConfig {
         let capacity = if self.disk_per_node == u64::MAX / u64::from(self.nodes.max(1)) {
             u64::MAX
         } else {
-            u64::from(self.nodes) * self.disk_per_node
+            u64::from(self.nodes).saturating_mul(self.disk_per_node)
         };
         let mut engine = Engine::new(SimHdfs::new(capacity, self.replication))
             .with_cost(self.cost.clone())
@@ -272,6 +267,19 @@ mod tests {
             assert!(run.succeeded(), "{approach:?}");
             assert_eq!(run.solutions.unwrap(), gold, "{approach:?}");
         }
+    }
+
+    #[test]
+    fn large_cluster_with_default_disk_runs() {
+        // 80 nodes (the paper's largest cluster) times the default
+        // per-node disk exceeds u64; the capacity saturates instead of
+        // overflowing.
+        let q =
+            rdf_query::parse_query("SELECT * WHERE { ?g <label> ?l . ?g ?p ?go . ?go <gl> ?x . }")
+                .unwrap();
+        let engine = ClusterConfig { nodes: 80, ..Default::default() }.engine_with(&store());
+        let run = run_query(Approach::NtgaEager, &engine, &q, "t", false).unwrap();
+        assert!(run.succeeded());
     }
 
     #[test]
