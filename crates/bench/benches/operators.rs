@@ -178,11 +178,12 @@ fn bench_shuffle(c: &mut Criterion) {
     c.bench_function("shuffle/engine_wordcount_8workers", |b| {
         b.iter(|| {
             let _ = engine.hdfs().lock().delete("bench-shuffle-out");
-            let mapper =
-                mrsim::map_fn(|w: String, out: &mut mrsim::TypedMapEmitter<'_, String, u64>| {
+            let mapper = mrsim::map_fn::<String, _, _, _>(
+                |w, out: &mut mrsim::TypedMapEmitter<'_, String, u64>| {
                     out.emit(&w, &1);
                     Ok(())
-                });
+                },
+            );
             let reducer = mrsim::reduce_fn(
                 |w: String, ones: Vec<u64>, out: &mut mrsim::TypedOutEmitter<'_, (String, u64)>| {
                     out.emit(&(w, ones.iter().sum()))

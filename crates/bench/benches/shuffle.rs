@@ -55,14 +55,15 @@ fn put_input_ids(engine: &Engine) -> Dictionary {
 /// re-keyed pairs per row (object-join-style expansion), shuffle-sort the
 /// ~`ROWS × FANOUT` pairs across `PARTITIONS` reducers, and group-count.
 fn spec(with_combiner: bool, out: &str) -> JobSpec {
-    let mapper =
-        map_fn(move |(s, o): (String, String), out: &mut TypedMapEmitter<'_, String, String>| {
+    let mapper = map_fn::<(String, String), _, _, _>(
+        move |(s, o): (String, String), out: &mut TypedMapEmitter<'_, String, String>| {
             for k in 0..FANOUT {
                 let key = if k == 0 { o.clone() } else { format!("{o}#{k}") };
                 out.emit(&key, &s);
             }
             Ok(())
-        });
+        },
+    );
     let reducer = reduce_fn(
         |key: String, values: Vec<String>, out: &mut TypedOutEmitter<'_, (String, u64)>| {
             let total: u64 = values.iter().map(|v| v.len() as u64).sum();
@@ -100,7 +101,7 @@ fn spec(with_combiner: bool, out: &str) -> JobSpec {
 /// back to tokens at the output boundary through the engine's dictionary
 /// snapshot.
 fn spec_ids(with_combiner: bool, out: &str) -> JobSpec {
-    let mapper = map_fn_ctx(
+    let mapper = map_fn_ctx::<(VarId, VarId), _, _, _>(
         move |_ctx: &TaskContext,
               (s, o): (VarId, VarId),
               out: &mut TypedMapEmitter<'_, (VarId, VarId), VarId>| {

@@ -1,15 +1,18 @@
 //! Token-representation benchmark: the decode → group-by → full β-unnest
-//! hot path over a BSBM-like batch, run once with the historical owned
-//! `String` representation (re-implemented here as a mirror of the
-//! pre-migration code) and once with the pipeline's interned `Atom`
-//! representation. The `Atom` path clones tokens by bumping a reference
-//! count and shares one allocation per distinct token within a task, where
-//! the `String` path re-copies every token at every clone site.
+//! hot path over a BSBM-like batch, run with three token representations:
+//!
+//! * `string` — the historical owned `String` tokens (re-implemented here
+//!   as a mirror of the pre-migration code), re-copied at every clone site;
+//! * `atom` — every record decoded into interned `Atom`s, cloned by
+//!   bumping a reference count;
+//! * `view` — every record read in place as a borrowed `TripleView` and
+//!   grouped by borrowed tokens; each group's tokens are interned once,
+//!   when the triplegroup is built (scans borrow, typed decode interns).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mr_rdf::TripleRec;
+use mr_rdf::{TripleRec, TripleView};
 use mrsim::Rec;
-use ntga_core::logical::{beta_group_filter, beta_unnest, group_by_subject};
+use ntga_core::logical::{beta_group_filter, beta_unnest, group_by_subject, TripleGroup};
 use rdf_model::atom::AtomTable;
 use rdf_query::StarPattern;
 use std::collections::BTreeMap;
@@ -140,7 +143,7 @@ fn string_pipeline(batch: &[Vec<u8>], star: &StarPattern) -> usize {
     out
 }
 
-/// The real pipeline: interned decode, `group_by_subject`, σ^βγ, full μ^β.
+/// Interned decode of every record, `group_by_subject`, σ^βγ, full μ^β.
 fn atom_pipeline(batch: &[Vec<u8>], star: &StarPattern) -> usize {
     let table = AtomTable::new();
     let triples: Vec<rdf_model::STriple> =
@@ -150,15 +153,41 @@ fn atom_pipeline(batch: &[Vec<u8>], star: &StarPattern) -> usize {
     anns.iter().map(|ann| black_box(beta_unnest(ann)).len()).sum()
 }
 
+/// Scans read in place: borrowed tokens are grouped by subject, and each
+/// group's tokens are interned once when its triplegroup is built.
+fn view_pipeline(batch: &[Vec<u8>], star: &StarPattern) -> usize {
+    let table = AtomTable::new();
+    let mut groups: BTreeMap<&str, Vec<(&str, &str)>> = BTreeMap::new();
+    for rec in batch {
+        let t = TripleView::parse(rec).unwrap();
+        groups.entry(t.s).or_default().push((t.p, t.o));
+    }
+    let tgs: Vec<TripleGroup> = groups
+        .into_iter()
+        .map(|(s, pairs)| TripleGroup {
+            subject: table.intern(s),
+            pairs: pairs.into_iter().map(|(p, o)| (table.intern(p), table.intern(o))).collect(),
+        })
+        .collect();
+    let anns = beta_group_filter(&tgs, star, 0);
+    anns.iter().map(|ann| black_box(beta_unnest(ann)).len()).sum()
+}
+
 fn bench_tokens(c: &mut Criterion) {
     let batch = encoded_batch();
     let star = star();
+    let perfect = atom_pipeline(&batch, &star);
+    assert_eq!(string_pipeline(&batch, &star), perfect, "string and atom rows disagree");
+    assert_eq!(view_pipeline(&batch, &star), perfect, "view and atom rows disagree");
     let mut group = c.benchmark_group("token_repr");
     group.bench_function("string/decode_group_unnest", |b| {
         b.iter(|| string_pipeline(black_box(&batch), black_box(&star)))
     });
     group.bench_function("atom/decode_group_unnest", |b| {
         b.iter(|| atom_pipeline(black_box(&batch), black_box(&star)))
+    });
+    group.bench_function("view/decode_group_unnest", |b| {
+        b.iter(|| view_pipeline(black_box(&batch), black_box(&star)))
     });
     group.finish();
 }

@@ -29,14 +29,15 @@ fn row(i: usize) -> (String, String) {
 fn lexical_wire_bytes(with_combiner: bool) -> u64 {
     let engine = Engine::unbounded().with_workers(8);
     engine.put_records("in", (0..ROWS).map(row)).unwrap();
-    let mapper =
-        map_fn(move |(s, o): (String, String), out: &mut TypedMapEmitter<'_, String, String>| {
+    let mapper = map_fn::<(String, String), _, _, _>(
+        move |(s, o): (String, String), out: &mut TypedMapEmitter<'_, String, String>| {
             for k in 0..FANOUT {
                 let key = if k == 0 { o.clone() } else { format!("{o}#{k}") };
                 out.emit(&key, &s);
             }
             Ok(())
-        });
+        },
+    );
     let reducer = reduce_fn(
         |key: String, values: Vec<String>, out: &mut TypedOutEmitter<'_, (String, u64)>| {
             let total: u64 = values.iter().map(|v| v.len() as u64).sum();
@@ -77,7 +78,7 @@ fn id_wire_bytes(with_combiner: bool) -> u64 {
         .collect();
     engine.put_records("in", rows).unwrap();
     let engine = engine.with_dict(Arc::new(dict));
-    let mapper = map_fn_ctx(
+    let mapper = map_fn_ctx::<(VarId, VarId), _, _, _>(
         move |_ctx: &TaskContext,
               (s, o): (VarId, VarId),
               out: &mut TypedMapEmitter<'_, (VarId, VarId), VarId>| {

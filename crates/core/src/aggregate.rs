@@ -58,7 +58,7 @@ pub fn count_job(
     component: usize,
     output: impl Into<String>,
 ) -> JobSpec {
-    let mapper = map_fn(move |t: TgTuple, out: &mut TypedMapEmitter<'_, Atom, u64>| {
+    let mapper = map_fn::<TgTuple, _, _, _>(move |t, out: &mut TypedMapEmitter<'_, Atom, u64>| {
         let Some(tg) = t.0.get(component) else {
             return Err(mrsim::MrError::Op("count component out of range".into()));
         };
@@ -68,7 +68,7 @@ pub fn count_job(
     });
     let combiner =
         combine_fn(|key: Atom, counts: Vec<u64>, out: &mut TypedMapEmitter<'_, Atom, u64>| {
-            out.emit(&key, &counts.iter().sum());
+            out.emit(&key, &counts.iter().sum::<u64>());
             Ok(())
         });
     let reducer =

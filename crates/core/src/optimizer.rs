@@ -31,14 +31,15 @@ use crate::physical::{
     group_filter_job, role_of, tg_broadcast_join_job, tg_join_job, BuildSide, JoinRole, JoinSide,
     UnnestMode,
 };
-use crate::tg::TgTuple;
+use crate::tg::{AnnTg, TgTuple};
 use mr_rdf::{check_query, PlanError, QueryRun};
 use mrsim::{CostModel, Engine, JobStats, Workflow};
+use rdf_model::Atom;
 use rdf_model::StoreStats;
 use rdf_query::estimate::{
     pattern_cardinality, star_pair_cardinality, star_row_cardinality, star_subject_cardinality,
 };
-use rdf_query::{Binding, PropPattern, Query, SolutionSet, StarPattern};
+use rdf_query::{AnswerRow, PropPattern, Query, SlotLayout, SolutionSet, StarPattern};
 use std::collections::HashSet;
 
 /// Tunables for plan search. [`OptimizerConfig::for_engine`] copies the
@@ -763,41 +764,155 @@ pub fn execute_plan_profiled(
 /// Expand joined triplegroup tuples into a canonical solution set.
 ///
 /// `components` maps each tuple position to its star index in `query`.
+/// Each tuple's subjects and bound and unbound lists are walked straight
+/// into answer rows over the query's [`SlotLayout`], through slots
+/// compiled once per query. A combination that binds one variable to two
+/// tokens (a variable repeated inside a star, or shared across stars) is
+/// rejected, like any conflicting rebind. A row left with an unbound slot
+/// is an internal error.
 pub fn expand_tuples(
     tuples: &[TgTuple],
     components: &[usize],
     query: &Query,
 ) -> Result<SolutionSet, PlanError> {
-    let mut set = SolutionSet::new();
+    let layout = SlotLayout::of(query);
+    let slots = components
+        .iter()
+        .map(|&i| {
+            let star = query.stars.get(i).ok_or_else(|| {
+                PlanError::Internal(format!("tuple component names missing star {i}"))
+            })?;
+            StarSlots::compile(star, &layout)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut rows = Vec::new();
+    let mut row = layout.empty_row();
+    let mut levels = Vec::new();
     for t in tuples {
         if t.0.len() != components.len() {
             return Err(PlanError::Internal("tuple arity mismatch".into()));
         }
-        let mut partials: Vec<Binding> = vec![Binding::new()];
-        for (tg, &star_idx) in t.0.iter().zip(components) {
-            let star = &query.stars[star_idx];
-            let expansions = tg
-                .expand(star)
-                .ok_or_else(|| PlanError::Internal("triplegroup/star shape mismatch".into()))?;
-            let mut next = Vec::with_capacity(partials.len() * expansions.len());
-            for p in &partials {
-                for e in &expansions {
-                    let mut m = p.clone();
-                    if m.merge(e) {
-                        next.push(m);
-                    }
-                }
-            }
-            partials = next;
+        levels.clear();
+        for (tg, star) in t.0.iter().zip(&slots) {
+            star.levels(tg, &mut levels)?;
         }
-        for b in partials {
-            set.insert(b);
+        walk(&levels, &mut row, &mut rows);
+    }
+    layout
+        .solutions(rows, query.projection.as_deref())
+        .map_err(|e| PlanError::Internal(e.to_string()))
+}
+
+/// Where one star's tokens land in an answer row: the subject's slot, one
+/// per bound pattern's object, and `[property, object]` per unbound
+/// pattern. `None` is a position bound to a constant.
+struct StarSlots {
+    subject: Option<usize>,
+    bound: Vec<Option<usize>>,
+    unbound: Vec<[Option<usize>; 2]>,
+}
+
+impl StarSlots {
+    fn compile(star: &StarPattern, layout: &SlotLayout) -> Result<Self, PlanError> {
+        let slot = |var: Option<&str>| match var {
+            None => Ok(None),
+            Some(v) => layout
+                .slot(v)
+                .map(Some)
+                .ok_or_else(|| PlanError::Internal(format!("?{v} missing from answer layout"))),
+        };
+        Ok(StarSlots {
+            subject: slot(Some(&star.subject_var))?,
+            bound: star
+                .bound_patterns()
+                .iter()
+                .map(|p| slot(p.object.var()))
+                .collect::<Result<_, _>>()?,
+            unbound: star
+                .unbound_patterns()
+                .iter()
+                .map(|p| Ok([slot(p.property.var())?, slot(p.object.var())?]))
+                .collect::<Result<_, PlanError>>()?,
+        })
+    }
+
+    /// Append one walk level per position of `tg`: its subject, then each
+    /// bound list, then each unbound list.
+    fn levels<'t>(&self, tg: &'t AnnTg, out: &mut Vec<Level<'t>>) -> Result<(), PlanError> {
+        if tg.bound.len() != self.bound.len() || tg.unbound.len() != self.unbound.len() {
+            return Err(PlanError::Internal("triplegroup/star shape mismatch".into()));
+        }
+        out.push(Level::Tokens(self.subject, std::slice::from_ref(&tg.subject)));
+        for ((_, objs), &slot) in tg.bound.iter().zip(&self.bound) {
+            out.push(Level::Tokens(slot, objs));
+        }
+        for (cands, &slots) in tg.unbound.iter().zip(&self.unbound) {
+            out.push(Level::Pairs(slots, cands));
+        }
+        Ok(())
+    }
+}
+
+/// One position of a tuple: the choices it may take, each binding up to
+/// two slots.
+enum Level<'t> {
+    /// The subject or a bound pattern's objects, into one slot.
+    Tokens(Option<usize>, &'t [Atom]),
+    /// An unbound pattern's candidates, into `[property, object]` slots.
+    Pairs([Option<usize>; 2], &'t [(Atom, Atom)]),
+}
+
+impl Level<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Level::Tokens(_, tokens) => tokens.len(),
+            Level::Pairs(_, cands) => cands.len(),
         }
     }
-    Ok(match &query.projection {
-        Some(vars) => set.project(vars),
-        None => set,
-    })
+
+    /// The `(slot, token)` writes of choice `i`.
+    fn choice(&self, i: usize) -> [(Option<usize>, &Atom); 2] {
+        match self {
+            Level::Tokens(slot, tokens) => [(*slot, &tokens[i]), (None, &tokens[i])],
+            Level::Pairs([ps, os], cands) => [(*ps, &cands[i].0), (*os, &cands[i].1)],
+        }
+    }
+}
+
+/// Depth-first over every combination of choices, binding each level's
+/// tokens into `row` (and unbinding them on the way back). A combination
+/// that would rebind a slot to a different token is pruned; every
+/// complete combination is pushed to `rows`.
+fn walk(levels: &[Level<'_>], row: &mut AnswerRow, rows: &mut Vec<AnswerRow>) {
+    let Some((level, rest)) = levels.split_first() else {
+        rows.push(row.clone());
+        return;
+    };
+    for i in 0..level.len() {
+        // Slots this choice binds for the first time, unbound again below.
+        let mut fresh = [None; 2];
+        let mut consistent = true;
+        for (k, (slot, token)) in level.choice(i).into_iter().enumerate() {
+            let Some(slot) = slot else { continue };
+            match &row[slot] {
+                None => {
+                    row[slot] = Some(token.clone());
+                    fresh[k] = Some(slot);
+                }
+                Some(bound) if bound == token => {}
+                Some(_) => {
+                    consistent = false;
+                    break;
+                }
+            }
+        }
+        if consistent {
+            walk(rest, row, rows);
+        }
+        for slot in fresh.into_iter().flatten() {
+            row[slot] = None;
+        }
+    }
 }
 
 #[cfg(test)]

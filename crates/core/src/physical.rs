@@ -20,10 +20,10 @@
 
 use crate::logical::{match_star, partial_beta_unnest, TripleGroup};
 use crate::tg::{AnnTg, TgTuple};
-use mr_rdf::{IdPair, IdStarTest, IdTripleRec, TripleRec};
+use mr_rdf::{IdPair, IdStarTest, IdTripleRec, TripleView};
 use mrsim::{
-    map_fn, map_fn_ctx, map_only_fn_ctx, reduce_fn, reduce_fn_ctx, InputBinding, JobSpec, MrError,
-    Rec, TaskContext, TypedMapEmitter, TypedOutEmitter, VarId,
+    map_fn, map_fn_ctx, map_only_fn_ctx, reduce_fn, reduce_fn_ctx, token_order, InputBinding,
+    JobSpec, MrError, Rec, TaskContext, TypedMapEmitter, TypedOutEmitter, VarId,
 };
 use rdf_model::atom::{atom, fnv1a, Atom};
 use rdf_model::hash::DetHashMap;
@@ -95,9 +95,9 @@ pub fn phi(key: &str, m: u64) -> u64 {
 /// stars whose triplegroups carry no redundancy (no multi-valued or
 /// unbound candidates) while keeping expansive stars nested.
 ///
-/// `ids` selects the data plane. `None` reads [`TripleRec`]s and shuffles
-/// lexical tokens. `Some(dict)` reads [`IdTripleRec`]s and shuffles
-/// LEB128-varint dictionary ids (`VarId` subject keys, [`IdPair`]
+/// `ids` selects the data plane. `None` reads triple records in place
+/// ([`TripleView`]) and shuffles lexical tokens. `Some(dict)` reads
+/// [`IdTripleRec`]s and shuffles LEB128-varint dictionary ids (`VarId` subject keys, [`IdPair`]
 /// property/object values): star constants compile to ids against `dict`
 /// at plan time, so the map side matches with integer compares, and the
 /// reduce side resolves ids back to [`Atom`]s through the engine's
@@ -119,22 +119,22 @@ pub fn group_filter_job(
     let (mapper, reducer) = match ids {
         None => {
             let stars = query.stars.clone();
-            let mapper =
-                map_fn(move |rec: TripleRec, out: &mut TypedMapEmitter<'_, Atom, (Atom, Atom)>| {
-                    let t = &rec.0;
+            let mapper = map_fn::<TripleView<'_>, _, _, _>(
+                move |t, out: &mut TypedMapEmitter<'_, Atom, (Atom, Atom)>| {
                     // Map-side relevance filter: ship the triple only if it
                     // can match some pattern of some star (this is where
                     // partially-bound-object filters prune, as the paper
                     // notes for query B2).
                     let relevant = stars.iter().any(|star| {
-                        star.subject_accepts(&t.s)
-                            && star.patterns.iter().any(|p| p.matches_structurally(t))
+                        star.subject_accepts(t.s)
+                            && star.patterns.iter().any(|p| p.matches_tokens(t.s, t.p, t.o))
                     });
                     if relevant {
-                        out.emit(&t.s, &(t.p.clone(), t.o.clone()));
+                        out.emit(t.s, &(t.p, t.o));
                     }
                     Ok(())
-                });
+                },
+            );
             let reducer = reduce_fn_ctx(
                 move |ctx: &TaskContext,
                       subject: Atom,
@@ -148,10 +148,8 @@ pub fn group_filter_job(
         Some(dict) => {
             let stars: Vec<IdStarTest> =
                 query.stars.iter().map(|s| IdStarTest::compile(s, dict)).collect();
-            let mapper = map_fn_ctx(
-                move |ctx: &TaskContext,
-                      rec: IdTripleRec,
-                      out: &mut TypedMapEmitter<'_, VarId, IdPair>| {
+            let mapper = map_fn_ctx::<IdTripleRec, _, _, _>(
+                move |ctx: &TaskContext, rec, out: &mut TypedMapEmitter<'_, VarId, IdPair>| {
                     for star in &stars {
                         if star.relevant(&rec, ctx)? {
                             out.emit(&VarId(rec.s), &IdPair(rec.p, rec.o));
@@ -175,7 +173,9 @@ pub fn group_filter_job(
                     // encoded-token order (the shuffle sorts by value
                     // bytes); restore that order after resolution so
                     // outputs are byte-identical.
-                    pairs.sort_by_cached_key(Rec::to_bytes);
+                    pairs.sort_unstable_by(|(p1, o1), (p2, o2)| {
+                        token_order(p1, p2).then_with(|| token_order(o1, o2))
+                    });
                     filter.reduce(ctx, TripleGroup { subject, pairs }, out)
                 },
             );
@@ -395,10 +395,8 @@ fn expanded_bytes_of(tuple: &TgTuple, component: usize, u: usize) -> u64 {
 }
 
 fn join_mapper(side: u64, spec: JoinSide, mode: UnnestMode) -> Arc<dyn mrsim::RawMapOp> {
-    map_fn_ctx(
-        move |ctx: &mrsim::TaskContext,
-              tuple: TgTuple,
-              out: &mut TypedMapEmitter<'_, Atom, SidedTuple>| {
+    map_fn_ctx::<TgTuple, _, _, _>(
+        move |ctx: &mrsim::TaskContext, tuple, out: &mut TypedMapEmitter<'_, Atom, SidedTuple>| {
             let comp = tuple
                 .0
                 .get(spec.component)
@@ -583,8 +581,8 @@ pub fn tg_broadcast_join_job(
     };
     let build_file = build_spec.file.clone();
     let probe_file = probe_spec.file.clone();
-    let mapper = map_only_fn_ctx(
-        move |ctx: &TaskContext, tuple: TgTuple, out: &mut TypedOutEmitter<'_, TgTuple>| {
+    let mapper = map_only_fn_ctx::<TgTuple, _, _>(
+        move |ctx: &TaskContext, tuple, out: &mut TypedOutEmitter<'_, TgTuple>| {
             let table = ctx.task_state(|| {
                 let file = ctx.broadcast(0)?;
                 let mut map: DetHashMap<Atom, Vec<TgTuple>> = DetHashMap::default();
@@ -734,27 +732,7 @@ mod tests {
         );
         engine.run_job(&job).unwrap();
         let tuples: Vec<TgTuple> = engine.read_records("out").unwrap();
-        let mut set = rdf_query::SolutionSet::new();
-        for t in &tuples {
-            let mut partials: Vec<rdf_query::Binding> = vec![rdf_query::Binding::new()];
-            for (tg, star) in t.0.iter().zip(&query.stars) {
-                let expansions = tg.expand(star).unwrap();
-                let mut next = Vec::new();
-                for p in &partials {
-                    for e in &expansions {
-                        let mut m = p.clone();
-                        if m.merge(e) {
-                            next.push(m);
-                        }
-                    }
-                }
-                partials = next;
-            }
-            for b in partials {
-                set.insert(b);
-            }
-        }
-        set
+        crate::optimizer::expand_tuples(&tuples, &[0, 1], &query).unwrap()
     }
 
     #[test]
@@ -1142,26 +1120,7 @@ mod tests {
             .run_job(&tg_broadcast_join_job("bjoin", left, right, BuildSide::Right, "out"))
             .unwrap();
         let tuples: Vec<TgTuple> = engine.read_records("out").unwrap();
-        let mut set = rdf_query::SolutionSet::new();
-        for t in &tuples {
-            let mut partials: Vec<rdf_query::Binding> = vec![rdf_query::Binding::new()];
-            for (tg, star) in t.0.iter().zip(&query.stars) {
-                let expansions = tg.expand(star).unwrap();
-                let mut next = Vec::new();
-                for p in &partials {
-                    for e in &expansions {
-                        let mut m = p.clone();
-                        if m.merge(e) {
-                            next.push(m);
-                        }
-                    }
-                }
-                partials = next;
-            }
-            for b in partials {
-                set.insert(b);
-            }
-        }
+        let set = crate::optimizer::expand_tuples(&tuples, &[0, 1], &query).unwrap();
         assert_eq!(set, gold);
     }
 

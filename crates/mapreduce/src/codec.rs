@@ -54,6 +54,15 @@ impl<'a> SliceReader<'a> {
         self.buf.len()
     }
 
+    /// Require that the whole buffer was consumed: a record followed by
+    /// trailing bytes is a [`MrError::Codec`].
+    pub fn finish(&self) -> Result<(), MrError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(MrError::Codec(format!("{n} trailing bytes after record"))),
+        }
+    }
+
     /// Read a little-endian u32 length / tag.
     pub fn read_u32(&mut self) -> Result<u32, MrError> {
         if self.buf.remaining() < 4 {
@@ -184,9 +193,7 @@ pub trait Rec: Sized + Send + Sync + Clone + 'static {
     fn from_bytes(buf: &[u8]) -> Result<Self, MrError> {
         let mut r = SliceReader::new(buf);
         let v = Self::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(MrError::Codec(format!("{} trailing bytes after record", r.remaining())));
-        }
+        r.finish()?;
         Ok(v)
     }
 
@@ -196,17 +203,29 @@ pub trait Rec: Sized + Send + Sync + Clone + 'static {
     fn from_bytes_with(buf: &[u8], atoms: &AtomTable) -> Result<Self, MrError> {
         let mut r = SliceReader::with_interner(buf, atoms);
         let v = Self::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(MrError::Codec(format!("{} trailing bytes after record", r.remaining())));
-        }
+        r.finish()?;
         Ok(v)
     }
 }
 
+/// Append one token in the shared `String`/[`Atom`] wire form: a u32-LE
+/// length prefix, then the UTF-8 bytes.
+fn put_token(buf: &mut Vec<u8>, token: &str) {
+    buf.put_u32_le(u32::try_from(token.len()).expect("string too long"));
+    buf.put_slice(token.as_bytes());
+}
+
+/// Order two tokens as their token-codec encodings sort as raw bytes (the
+/// shuffle's value order), without encoding them: the u32-LE length bytes
+/// decide first, then the token bytes.
+pub fn token_order(a: &str, b: &str) -> std::cmp::Ordering {
+    let len = |t: &str| u32::try_from(t.len()).expect("string too long").to_le_bytes();
+    len(a).cmp(&len(b)).then_with(|| a.as_bytes().cmp(b.as_bytes()))
+}
+
 impl Rec for String {
     fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.put_u32_le(u32::try_from(self.len()).expect("string too long"));
-        buf.put_slice(self.as_bytes());
+        put_token(buf, self);
     }
 
     fn decode(r: &mut SliceReader<'_>) -> Result<Self, MrError> {
@@ -225,8 +244,7 @@ impl Rec for String {
 /// task table.
 impl Rec for Atom {
     fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.put_u32_le(u32::try_from(self.len()).expect("string too long"));
-        buf.put_slice(self.as_bytes());
+        put_token(buf, self);
     }
 
     fn decode(r: &mut SliceReader<'_>) -> Result<Self, MrError> {
@@ -235,6 +253,111 @@ impl Rec for Atom {
 
     fn text_size(&self) -> u64 {
         self.len() as u64 + 1 // + newline
+    }
+}
+
+/// How a map task reads one input record: the value a typed mapper
+/// receives for the record's bytes.
+///
+/// Every [`Rec`] reads as itself, decoded through the task's
+/// [`AtomTable`]. A view type instead reads as a value that borrows the
+/// record bytes for the length of one map call, so a scan that only
+/// filters tokens and re-emits them never builds them. Either way the
+/// whole record must be consumed: trailing bytes, truncation and invalid
+/// UTF-8 are [`MrError::Codec`], which the engine's skip mode quarantines.
+pub trait MapInput: 'static {
+    /// The value handed to the mapper, borrowing the record for `'a`.
+    type Item<'a>;
+
+    /// Read one whole record.
+    fn read<'a>(record: &'a [u8], atoms: &'a AtomTable) -> Result<Self::Item<'a>, MrError>;
+}
+
+impl<T: Rec> MapInput for T {
+    type Item<'a> = T;
+
+    fn read<'a>(record: &'a [u8], atoms: &'a AtomTable) -> Result<T, MrError> {
+        T::from_bytes_with(record, atoms)
+    }
+}
+
+/// A value that encodes byte for byte as the record type `R`, so typed
+/// emitters accept it in place of an `R`.
+///
+/// Every record encodes as itself. A borrowed `str` token encodes as an
+/// [`Atom`] (the token codec `String` shares), and so do the tuple and list
+/// shapes the triple scans build from `&str` tokens: a scan emits the
+/// tokens it borrowed from its input record without interning or copying
+/// them first. Wire bytes and `text_size` are those of the `R` it stands
+/// for.
+pub trait EncodeAs<R: Rec> {
+    /// Append the encoding of the `R` this value stands for.
+    fn encode_as(&self, buf: &mut Vec<u8>);
+
+    /// [`Rec::text_size`] of the `R` this value stands for.
+    fn text_size_as(&self) -> u64;
+}
+
+impl<R: Rec> EncodeAs<R> for R {
+    fn encode_as(&self, buf: &mut Vec<u8>) {
+        self.encode_into(buf);
+    }
+
+    fn text_size_as(&self) -> u64 {
+        self.text_size()
+    }
+}
+
+impl EncodeAs<Atom> for str {
+    fn encode_as(&self, buf: &mut Vec<u8>) {
+        put_token(buf, self);
+    }
+
+    fn text_size_as(&self) -> u64 {
+        self.len() as u64 + 1
+    }
+}
+
+/// A borrowed `(property, object)` pair.
+impl EncodeAs<(Atom, Atom)> for (&str, &str) {
+    fn encode_as(&self, buf: &mut Vec<u8>) {
+        put_token(buf, self.0);
+        put_token(buf, self.1);
+    }
+
+    fn text_size_as(&self) -> u64 {
+        // As `(Atom, Atom)`: two tokens, one separator, no second newline.
+        self.0.len() as u64 + self.1.len() as u64 + 1
+    }
+}
+
+/// A tagged borrowed pair, e.g. `(pattern index, (property, object))`.
+impl<T: Rec> EncodeAs<(T, (Atom, Atom))> for (T, (&str, &str)) {
+    fn encode_as(&self, buf: &mut Vec<u8>) {
+        self.0.encode_into(buf);
+        self.1.encode_as(buf);
+    }
+
+    fn text_size_as(&self) -> u64 {
+        self.0.text_size() + EncodeAs::<(Atom, Atom)>::text_size_as(&self.1) - 1
+    }
+}
+
+/// A tagged borrowed token list, e.g. `(tag, [subject, property, object])`.
+impl<T: Rec> EncodeAs<(T, Vec<Atom>)> for (T, &[&str]) {
+    fn encode_as(&self, buf: &mut Vec<u8>) {
+        self.0.encode_into(buf);
+        buf.put_u32_le(u32::try_from(self.1.len()).expect("vec too long"));
+        for token in self.1 {
+            put_token(buf, token);
+        }
+    }
+
+    fn text_size_as(&self) -> u64 {
+        // As `Vec<Atom>`: one separator per token, or a lone newline.
+        let list =
+            if self.1.is_empty() { 1 } else { self.1.iter().map(|t| t.len() as u64 + 1).sum() };
+        self.0.text_size() + list - 1
     }
 }
 
@@ -440,6 +563,49 @@ mod tests {
             assert_eq!(owned.text_size(), interned.text_size(), "text size for {s:?}");
             roundtrip(interned);
         }
+    }
+
+    #[test]
+    fn token_order_is_encoded_byte_order() {
+        let long = "a".repeat(256);
+        let tokens = ["", "a", "b", "ab", "ba", "z", long.as_str(), "\u{1F980}"];
+        for a in tokens {
+            for b in tokens {
+                let bytes = String::from(a).to_bytes().cmp(&String::from(b).to_bytes());
+                assert_eq!(token_order(a, b), bytes, "{a:?} vs {b:?}");
+            }
+        }
+        // Little-endian length bytes: a 256-byte token sorts before "b".
+        assert_eq!(token_order(&long, "b"), std::cmp::Ordering::Less);
+    }
+
+    #[test]
+    fn borrowed_tokens_encode_as_records() {
+        let (s, p) = ("<s>", "<p>");
+        let owned = (Atom::from(s), Atom::from(p));
+        let borrowed = (s, p);
+        let mut buf = Vec::new();
+        EncodeAs::<(Atom, Atom)>::encode_as(&borrowed, &mut buf);
+        assert_eq!(buf, owned.to_bytes());
+        assert_eq!(EncodeAs::<(Atom, Atom)>::text_size_as(&borrowed), owned.text_size());
+
+        let tagged = (7u64, (s, p));
+        let mut buf = Vec::new();
+        tagged.encode_as(&mut buf);
+        assert_eq!(buf, (7u64, owned.clone()).to_bytes());
+        assert_eq!(tagged.text_size_as(), (7u64, owned).text_size());
+
+        for list in [&[][..], &[s][..], &[s, p, "\"o\""][..]] {
+            let record: (u64, Vec<Atom>) = (3, list.iter().map(|t| Atom::from(*t)).collect());
+            let mut buf = Vec::new();
+            (3u64, list).encode_as(&mut buf);
+            assert_eq!(buf, record.to_bytes(), "{list:?}");
+            assert_eq!((3u64, list).text_size_as(), record.text_size(), "{list:?}");
+        }
+        let mut buf = Vec::new();
+        s.encode_as(&mut buf);
+        assert_eq!(buf, String::from(s).to_bytes());
+        assert_eq!(s.text_size_as(), String::from(s).text_size());
     }
 
     #[test]

@@ -1201,11 +1201,12 @@ mod tests {
     }
 
     fn word_count_spec() -> JobSpec {
-        let mapper =
-            map_fn(|word: String, out: &mut crate::job::TypedMapEmitter<'_, String, u64>| {
+        let mapper = map_fn::<String, _, _, _>(
+            |word, out: &mut crate::job::TypedMapEmitter<'_, String, u64>| {
                 out.emit(&word, &1);
                 Ok(())
-            });
+            },
+        );
         let reducer = reduce_fn(
             |key: String, values: Vec<u64>, out: &mut crate::job::TypedOutEmitter<'_, String>| {
                 out.emit(&format!("{key}:{}", values.iter().sum::<u64>()))
@@ -1251,7 +1252,7 @@ mod tests {
                     |key: String,
                      ones: Vec<u64>,
                      out: &mut crate::job::TypedMapEmitter<'_, String, u64>| {
-                        out.emit(&key, &ones.iter().sum());
+                        out.emit(&key, &ones.iter().sum::<u64>());
                         Ok(())
                     },
                 );
@@ -1333,11 +1334,12 @@ mod tests {
         // text-row model's figure.
         let engine = Engine::unbounded().with_workers(4);
         engine.put_records("ids", (0..500u32).map(VarId)).unwrap();
-        let mapper =
-            map_fn(|rec: VarId, out: &mut crate::job::TypedMapEmitter<'_, VarId, VarId>| {
+        let mapper = map_fn::<VarId, _, _, _>(
+            |rec, out: &mut crate::job::TypedMapEmitter<'_, VarId, VarId>| {
                 out.emit(&VarId(rec.0 % 7), &rec);
                 Ok(())
-            });
+            },
+        );
         let reducer = reduce_fn(
             |_k: VarId, vs: Vec<VarId>, out: &mut crate::job::TypedOutEmitter<'_, u64>| {
                 out.emit(&(vs.len() as u64))
@@ -1366,8 +1368,8 @@ mod tests {
         assert!(lex.shuffle_wire_bytes() > lex.shuffle_bytes());
 
         // Map-only jobs shuffle nothing under either accounting.
-        let mapper = crate::job::map_only_fn(
-            |w: String, out: &mut crate::job::TypedOutEmitter<'_, String>| out.emit(&w),
+        let mapper = crate::job::map_only_fn::<String, _, _>(
+            |w, out: &mut crate::job::TypedOutEmitter<'_, String>| out.emit(&w),
         );
         let spec = JobSpec::map_only("mo", vec!["input".into()], mapper, "mo_out");
         let stats = engine.run_job(&spec).unwrap();
@@ -1377,10 +1379,8 @@ mod tests {
     #[test]
     fn map_only_job() {
         let engine = word_count_engine(&["one", "two"]);
-        let mapper = crate::job::map_only_fn(
-            |w: String, out: &mut crate::job::TypedOutEmitter<'_, String>| {
-                out.emit(&w.to_uppercase())
-            },
+        let mapper = crate::job::map_only_fn::<String, _, _>(
+            |w, out: &mut crate::job::TypedOutEmitter<'_, String>| out.emit(&w.to_uppercase()),
         );
         let spec = JobSpec::map_only("upper", vec!["input".into()], mapper, "out");
         let stats = engine.run_job(&spec).unwrap();
@@ -1445,10 +1445,12 @@ mod tests {
         engine.put_records("left", ["l1".to_string()]).unwrap();
         engine.put_records("right", ["r1".to_string()]).unwrap();
         let tag = |t: &'static str| {
-            map_fn(move |w: String, out: &mut crate::job::TypedMapEmitter<'_, String, String>| {
-                out.emit(&"k".to_string(), &format!("{t}:{w}"));
-                Ok(())
-            })
+            map_fn::<String, _, _, _>(
+                move |w, out: &mut crate::job::TypedMapEmitter<'_, String, String>| {
+                    out.emit(&"k".to_string(), &format!("{t}:{w}"));
+                    Ok(())
+                },
+            )
         };
         let reducer = reduce_fn(
             |_k: String, values: Vec<String>, out: &mut crate::job::TypedOutEmitter<'_, String>| {
@@ -1489,7 +1491,7 @@ mod tests {
             |key: String,
              ones: Vec<u64>,
              out: &mut crate::job::TypedMapEmitter<'_, String, u64>| {
-                out.emit(&key, &ones.iter().sum());
+                out.emit(&key, &ones.iter().sum::<u64>());
                 Ok(())
             },
         );
@@ -1539,8 +1541,8 @@ mod tests {
         engine.put_records("side", (0..4u64).collect::<Vec<_>>()).unwrap();
         let sink = MemorySink::new();
         let engine = engine.with_trace(sink.clone());
-        let mapper = crate::job::map_only_fn_ctx(
-            |ctx: &TaskContext, w: String, out: &mut crate::job::TypedOutEmitter<'_, String>| {
+        let mapper = crate::job::map_only_fn_ctx::<String, _, _>(
+            |ctx: &TaskContext, w, out: &mut crate::job::TypedOutEmitter<'_, String>| {
                 let n = ctx.task_state(|| Ok(ctx.broadcast(0)?.records.len()))?;
                 out.emit(&format!("{w}:{}", *n))
             },
@@ -1578,8 +1580,8 @@ mod tests {
     fn broadcast_over_budget_is_refused() {
         let engine = word_count_engine(&["a"]).with_broadcast_budget(4);
         engine.put_records("side", ["0123456789".to_string()]).unwrap();
-        let mapper = crate::job::map_only_fn(
-            |w: String, out: &mut crate::job::TypedOutEmitter<'_, String>| out.emit(&w),
+        let mapper = crate::job::map_only_fn::<String, _, _>(
+            |w, out: &mut crate::job::TypedOutEmitter<'_, String>| out.emit(&w),
         );
         let spec =
             JobSpec::map_only("big", vec!["input".into()], mapper, "out").with_broadcast("side");
@@ -1872,10 +1874,8 @@ mod tests {
         let engine = Engine::unbounded().with_skip_bad_records(4);
         let file = DfsFile { text_bytes: 8, records, ..DfsFile::default() };
         engine.hdfs().lock().put("input", file).unwrap();
-        let mapper = crate::job::map_only_fn(
-            |w: String, out: &mut crate::job::TypedOutEmitter<'_, String>| {
-                out.emit(&w.to_uppercase())
-            },
+        let mapper = crate::job::map_only_fn::<String, _, _>(
+            |w, out: &mut crate::job::TypedOutEmitter<'_, String>| out.emit(&w.to_uppercase()),
         );
         let spec = JobSpec::map_only("upper", vec!["input".into()], mapper, "out");
         let stats = engine.run_job(&spec).unwrap();

@@ -8,8 +8,13 @@
 //! Each operator kind has one adapter, which hands the closure the
 //! [`TaskContext`] (`map_fn_ctx`, `map_only_fn_ctx`, `reduce_fn_ctx`); the
 //! context-free forms are one-call wrappers that drop it.
+//!
+//! A map adapter names its input format `I` ([`MapInput`]): a [`Rec`] is
+//! decoded and handed over owned, a view type is handed over borrowing the
+//! record bytes. Emitters accept anything that encodes as their record
+//! types ([`EncodeAs`]), so borrowed tokens go out without being built.
 
-use crate::codec::Rec;
+use crate::codec::{EncodeAs, MapInput, Rec};
 use crate::counters::OpCounters;
 use crate::error::MrError;
 use crate::hdfs::DfsFile;
@@ -233,15 +238,21 @@ impl MapEmitter {
         }
     }
 
-    /// Emit one typed key/value record with its simulated text row size,
-    /// routing it to its reduce partition's arena. The value encodes
-    /// directly into the arena; nothing is heap-allocated per record.
-    pub fn emit_rec<K: Rec, V: Rec>(&mut self, key: &K, value: &V, text_size: u64) {
+    /// Emit one key/value record, given as its two encoders, with its
+    /// simulated text row size, routing it to its reduce partition's
+    /// arena. The value encodes directly into the arena; nothing is
+    /// heap-allocated per record.
+    pub fn emit_with(
+        &mut self,
+        key: impl FnOnce(&mut Vec<u8>),
+        value: impl FnOnce(&mut Vec<u8>),
+        text_size: u64,
+    ) {
         let MapEmitter { buckets, key_scratch } = self;
         key_scratch.clear();
-        key.encode_into(key_scratch);
+        key(key_scratch);
         let p = crate::engine::default_partition(key_scratch, buckets.len());
-        buckets[p].push(key_scratch, text_size, |buf| value.encode_into(buf));
+        buckets[p].push(key_scratch, text_size, value);
     }
 
     /// Emit an already-encoded key/value pair (copied into the arena).
@@ -373,13 +384,18 @@ pub struct TypedMapEmitter<'a, K: Rec, V: Rec> {
 }
 
 impl<K: Rec, V: Rec> TypedMapEmitter<'_, K, V> {
-    /// Emit one key/value pair. The simulated row size is
+    /// Emit one key/value pair, given as records or as borrowed values that
+    /// encode as them ([`EncodeAs`]). The simulated row size is
     /// `key.text_size() + value.text_size() - 1` (the pair shares a single
-    /// row: one newline, one tab separator). Both records encode straight
-    /// into the partition spill arena — no per-record allocation.
-    pub fn emit(&mut self, key: &K, value: &V) {
-        let text = key.text_size() + value.text_size() - 1;
-        self.raw.emit_rec(key, value, text);
+    /// row: one newline, one tab separator). Both encode straight into the
+    /// partition spill arena — no per-record allocation.
+    pub fn emit<KE, VE>(&mut self, key: &KE, value: &VE)
+    where
+        KE: EncodeAs<K> + ?Sized,
+        VE: EncodeAs<V> + ?Sized,
+    {
+        let text = key.text_size_as() + value.text_size_as() - 1;
+        self.raw.emit_with(|buf| key.encode_as(buf), |buf| value.encode_as(buf), text);
     }
 }
 
@@ -390,14 +406,21 @@ pub struct TypedOutEmitter<'a, O: Rec> {
 }
 
 impl<O: Rec> TypedOutEmitter<'_, O> {
-    /// Emit one output record to the primary output.
-    pub fn emit(&mut self, record: &O) -> Result<(), MrError> {
-        self.raw.emit_raw(record.to_bytes(), record.text_size())
+    /// Emit one output record (or a borrowed value that encodes as one) to
+    /// the primary output.
+    pub fn emit<R: EncodeAs<O> + ?Sized>(&mut self, record: &R) -> Result<(), MrError> {
+        self.emit_to(0, record)
     }
 
     /// Emit one output record to the named output `idx`.
-    pub fn emit_to(&mut self, idx: usize, record: &O) -> Result<(), MrError> {
-        self.raw.emit_raw_to(idx, record.to_bytes(), record.text_size())
+    pub fn emit_to<R: EncodeAs<O> + ?Sized>(
+        &mut self,
+        idx: usize,
+        record: &R,
+    ) -> Result<(), MrError> {
+        let mut bytes = Vec::with_capacity(16);
+        record.encode_as(&mut bytes);
+        self.raw.emit_raw_to(idx, bytes, record.text_size_as())
     }
 }
 
@@ -408,13 +431,15 @@ struct TypedMapOp<I, K, V, F> {
 
 impl<I, K, V, F> RawMapOp for TypedMapOp<I, K, V, F>
 where
-    I: Rec,
+    I: MapInput,
     K: Rec,
     V: Rec,
-    F: Fn(&TaskContext, I, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError> + Send + Sync,
+    F: for<'r> Fn(&TaskContext, I::Item<'r>, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError>
+        + Send
+        + Sync,
 {
     fn run(&self, ctx: &TaskContext, record: &[u8], out: &mut MapEmitter) -> Result<(), MrError> {
-        let input = I::from_bytes_with(record, &ctx.atoms)?;
+        let input = I::read(record, &ctx.atoms)?;
         let mut emitter = TypedMapEmitter { raw: out, _pd: PhantomData };
         (self.f)(ctx, input, &mut emitter)
     }
@@ -427,12 +452,14 @@ struct TypedMapOnlyOp<I, O, F> {
 
 impl<I, O, F> RawMapOnlyOp for TypedMapOnlyOp<I, O, F>
 where
-    I: Rec,
+    I: MapInput,
     O: Rec,
-    F: Fn(&TaskContext, I, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync,
+    F: for<'r> Fn(&TaskContext, I::Item<'r>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError>
+        + Send
+        + Sync,
 {
     fn run(&self, ctx: &TaskContext, record: &[u8], out: &mut OutEmitter) -> Result<(), MrError> {
-        let input = I::from_bytes_with(record, &ctx.atoms)?;
+        let input = I::read(record, &ctx.atoms)?;
         let mut emitter = TypedOutEmitter { raw: out, _pd: PhantomData };
         (self.f)(ctx, input, &mut emitter)
     }
@@ -497,12 +524,17 @@ where
 /// Wrap a typed closure as a shuffle-producing map operator; the closure
 /// also receives the [`TaskContext`] (for operator counters via
 /// [`TaskContext::count`], dictionary resolution, or direct interning).
+///
+/// `I` names the input format and is given explicitly
+/// (`map_fn_ctx::<TgTuple, _, _, _>`): the closure receives
+/// `I::Item<'_>` — the decoded record for a [`Rec`], a value borrowing the
+/// record bytes for a view type.
 pub fn map_fn_ctx<I, K, V, F>(f: F) -> Arc<dyn RawMapOp>
 where
-    I: Rec,
+    I: MapInput,
     K: Rec,
     V: Rec,
-    F: Fn(&TaskContext, I, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError>
+    F: for<'r> Fn(&TaskContext, I::Item<'r>, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError>
         + Send
         + Sync
         + 'static,
@@ -513,23 +545,29 @@ where
 /// [`map_fn_ctx`] for a closure that does not need the [`TaskContext`].
 pub fn map_fn<I, K, V, F>(f: F) -> Arc<dyn RawMapOp>
 where
-    I: Rec,
+    I: MapInput,
     K: Rec,
     V: Rec,
-    F: Fn(I, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError> + Send + Sync + 'static,
+    F: for<'r> Fn(I::Item<'r>, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError>
+        + Send
+        + Sync
+        + 'static,
 {
-    map_fn_ctx(move |_: &TaskContext, input, out: &mut TypedMapEmitter<'_, K, V>| f(input, out))
+    map_fn_ctx::<I, K, V, _>(move |_: &TaskContext, input, out: &mut TypedMapEmitter<'_, K, V>| {
+        f(input, out)
+    })
 }
 
 /// Wrap a typed closure as a map-only operator; the closure also receives
 /// the [`TaskContext`] — required by broadcast-join mappers, which read
 /// their build side via [`TaskContext::broadcast`] and cache the built
-/// hash table via [`TaskContext::task_state`].
+/// hash table via [`TaskContext::task_state`]. `I` is the input format, as
+/// for [`map_fn_ctx`].
 pub fn map_only_fn_ctx<I, O, F>(f: F) -> Arc<dyn RawMapOnlyOp>
 where
-    I: Rec,
+    I: MapInput,
     O: Rec,
-    F: Fn(&TaskContext, I, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError>
+    F: for<'r> Fn(&TaskContext, I::Item<'r>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError>
         + Send
         + Sync
         + 'static,
@@ -541,11 +579,16 @@ where
 /// [`TaskContext`].
 pub fn map_only_fn<I, O, F>(f: F) -> Arc<dyn RawMapOnlyOp>
 where
-    I: Rec,
+    I: MapInput,
     O: Rec,
-    F: Fn(I, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync + 'static,
+    F: for<'r> Fn(I::Item<'r>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError>
+        + Send
+        + Sync
+        + 'static,
 {
-    map_only_fn_ctx(move |_: &TaskContext, input, out: &mut TypedOutEmitter<'_, O>| f(input, out))
+    map_only_fn_ctx::<I, O, _>(move |_: &TaskContext, input, out: &mut TypedOutEmitter<'_, O>| {
+        f(input, out)
+    })
 }
 
 /// Wrap a typed closure as a combiner.
@@ -876,7 +919,7 @@ mod tests {
 
     #[test]
     fn map_fn_decodes_and_emits() {
-        let op = map_fn(|rec: String, out: &mut TypedMapEmitter<'_, String, u64>| {
+        let op = map_fn::<String, _, _, _>(|rec, out: &mut TypedMapEmitter<'_, String, u64>| {
             out.emit(&rec, &(rec.len() as u64));
             Ok(())
         });
@@ -905,8 +948,8 @@ mod tests {
     #[test]
     fn ctx_adapters_record_counters() {
         let ctx = TaskContext::new();
-        let map_op = map_fn_ctx(
-            |ctx: &TaskContext, rec: String, out: &mut TypedMapEmitter<'_, String, u64>| {
+        let map_op = map_fn_ctx::<String, _, _, _>(
+            |ctx: &TaskContext, rec, out: &mut TypedMapEmitter<'_, String, u64>| {
                 ctx.count("map.seen", 1);
                 out.emit(&rec, &1);
                 Ok(())
@@ -956,7 +999,8 @@ mod tests {
 
     #[test]
     fn map_fn_propagates_codec_errors() {
-        let op = map_fn(|_rec: u64, _out: &mut TypedMapEmitter<'_, String, String>| Ok(()));
+        let op =
+            map_fn::<u64, _, _, _>(|_rec, _out: &mut TypedMapEmitter<'_, String, String>| Ok(()));
         let mut out = MapEmitter::new();
         assert!(op.run(&TaskContext::new(), &[1, 2], &mut out).is_err());
     }

@@ -26,7 +26,7 @@
 //! let engine = Engine::unbounded();
 //! engine.put_records("words", ["a", "b", "a"].map(String::from)).unwrap();
 //!
-//! let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
+//! let mapper = map_fn::<String, _, _, _>(|w, out: &mut TypedMapEmitter<'_, String, u64>| {
 //!     out.emit(&w, &1);
 //!     Ok(())
 //! });
@@ -65,7 +65,9 @@ pub mod workflow;
 /// [`hash::DetHashMap`] deterministic hash-map type for join build sides.
 pub use rdf_model::hash;
 
-pub use codec::{uvarint_len, write_uvarint, Rec, SliceReader, VarId};
+pub use codec::{
+    token_order, uvarint_len, write_uvarint, EncodeAs, MapInput, Rec, SliceReader, VarId,
+};
 pub use cost::CostModel;
 pub use counters::{FaultStats, JobStats, OpCounters, WorkflowStats};
 pub use engine::{default_partition, Engine};

@@ -321,10 +321,11 @@ mod tests {
     use crate::job::{map_fn, reduce_fn, InputBinding, TypedMapEmitter, TypedOutEmitter};
 
     fn identity_job(input: &str, output: &str, full_scan: bool) -> JobSpec {
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, String>| {
-            out.emit(&w, &w);
-            Ok(())
-        });
+        let mapper =
+            map_fn::<String, _, _, _>(|w, out: &mut TypedMapEmitter<'_, String, String>| {
+                out.emit(&w, &w);
+                Ok(())
+            });
         let reducer =
             reduce_fn(|k: String, _v: Vec<String>, out: &mut TypedOutEmitter<'_, String>| {
                 out.emit(&k)
@@ -413,10 +414,11 @@ mod tests {
         use crate::codec::Rec;
         let mut wf = Workflow::new(&engine, "fail");
         // Job emits 3 copies -> won't fit in remaining 5 bytes.
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, String>| {
-            out.emit(&w, &w);
-            Ok(())
-        });
+        let mapper =
+            map_fn::<String, _, _, _>(|w, out: &mut TypedMapEmitter<'_, String, String>| {
+                out.emit(&w, &w);
+                Ok(())
+            });
         let reducer =
             reduce_fn(|k: String, _v: Vec<String>, out: &mut TypedOutEmitter<'_, String>| {
                 out.emit(&k)?;

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 /// A word-count-shaped job from `input` to `output`.
 fn wc_job(name: &str, input: &str, output: &str, reduce_tasks: usize) -> JobSpec {
-    let mapper = map_fn(|word: String, out: &mut TypedMapEmitter<'_, String, u64>| {
+    let mapper = map_fn::<String, _, _, _>(|word, out: &mut TypedMapEmitter<'_, String, u64>| {
         out.emit(&word, &1);
         Ok(())
     });
@@ -130,10 +130,11 @@ fn run_chaos_full(
     let mut wf = Workflow::new(&engine, format!("chaos-{regime:?}"));
     wf.run_stage(vec![wc_job("j-a", "in", "a", 4), wc_job("j-b", "in", "b", 3)])?;
     let merge = {
-        let mapper = map_fn(|line: String, out: &mut TypedMapEmitter<'_, String, String>| {
-            out.emit(&line, &line);
-            Ok(())
-        });
+        let mapper =
+            map_fn::<String, _, _, _>(|line, out: &mut TypedMapEmitter<'_, String, String>| {
+                out.emit(&line, &line);
+                Ok(())
+            });
         let reducer =
             reduce_fn(|k: String, _v: Vec<String>, out: &mut TypedOutEmitter<'_, String>| {
                 out.emit(&k)
@@ -358,7 +359,7 @@ fn run_profiled(regime: Regime, seed: u64, workers: usize, combiner: bool) -> Wo
         if combiner {
             job.with_combiner(combine_fn(
                 |key: String, values: Vec<u64>, out: &mut TypedMapEmitter<'_, String, u64>| {
-                    out.emit(&key, &values.iter().sum());
+                    out.emit(&key, &values.iter().sum::<u64>());
                     Ok(())
                 },
             ))

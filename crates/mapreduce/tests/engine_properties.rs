@@ -71,7 +71,7 @@ proptest! {
 
         let engine = Engine::unbounded().with_workers(workers);
         engine.put_records("in", words.iter().map(|w| w.to_string())).unwrap();
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
+        let mapper = map_fn::<String, _, _, _>(|w, out: &mut TypedMapEmitter<'_, String, u64>| {
             out.emit(&w, &1);
             Ok(())
         });
@@ -118,7 +118,7 @@ proptest! {
                 engine = engine.with_faults(mrsim::FaultConfig::with_probability(0.3, 7));
             }
             engine.put_records("in", words.iter().map(|w| w.to_string())).unwrap();
-            let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
+            let mapper = map_fn::<String, _, _, _>(|w, out: &mut TypedMapEmitter<'_, String, u64>| {
                 out.emit(&w, &1);
                 Ok(())
             });
@@ -137,7 +137,7 @@ proptest! {
             if with_combiner == 1 {
                 spec = spec.with_combiner(mrsim::combine_fn(
                     |w: String, ones: Vec<u64>, out: &mut TypedMapEmitter<'_, String, u64>| {
-                        out.emit(&w, &ones.iter().sum());
+                        out.emit(&w, &ones.iter().sum::<u64>());
                         Ok(())
                     },
                 ));
@@ -165,7 +165,7 @@ proptest! {
     ) {
         let engine = Engine::unbounded();
         engine.put_records("in", words.iter().map(|w| w.to_string())).unwrap();
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
+        let mapper = map_fn::<String, _, _, _>(|w, out: &mut TypedMapEmitter<'_, String, u64>| {
             out.emit(&w, &1);
             Ok(())
         });
@@ -196,7 +196,7 @@ proptest! {
     fn replication_scales_write_accounting(repl in 1u32..5) {
         let engine = Engine::new(mrsim::SimHdfs::new(u64::MAX / 8, repl));
         engine.put_records("in", ["x".to_string(), "y".to_string()]).unwrap();
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
+        let mapper = map_fn::<String, _, _, _>(|w, out: &mut TypedMapEmitter<'_, String, u64>| {
             out.emit(&w, &1);
             Ok(())
         });
@@ -221,7 +221,7 @@ mod fault_injection {
 
     fn wordcount(engine: &Engine) -> Result<(mrsim::JobStats, Vec<(String, u64)>), mrsim::MrError> {
         engine.put_records("in", (0..80).map(|i| format!("w{}", i % 7)))?;
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
+        let mapper = map_fn::<String, _, _, _>(|w, out: &mut TypedMapEmitter<'_, String, u64>| {
             out.emit(&w, &1);
             Ok(())
         });
@@ -358,7 +358,7 @@ mod arena_shuffle {
     ) -> Vec<Vec<u8>> {
         let engine = Engine::unbounded().with_workers(workers);
         engine.put_records("in", words.to_vec()).unwrap();
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
+        let mapper = map_fn::<String, _, _, _>(|w, out: &mut TypedMapEmitter<'_, String, u64>| {
             for (k, v) in map_pairs(&w) {
                 out.emit(&k, &v);
             }
@@ -445,7 +445,7 @@ mod arena_shuffle {
     ) -> (String, Vec<Vec<u8>>, u64) {
         let engine = Engine::unbounded().with_workers(workers).with_sort_strategy(strategy);
         engine.put_records("in", words.to_vec()).unwrap();
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
+        let mapper = map_fn::<String, _, _, _>(|w, out: &mut TypedMapEmitter<'_, String, u64>| {
             for (k, v) in map_pairs(&w) {
                 out.emit(&k, &v);
             }

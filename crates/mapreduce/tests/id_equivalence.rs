@@ -32,11 +32,12 @@ fn run_lexical(
 ) -> (mrsim::JobStats, Vec<Vec<u8>>) {
     let engine = Engine::unbounded().with_workers(workers);
     engine.put_records("in", pairs.to_vec()).unwrap();
-    let mapper =
-        map_fn(|(a, b): (String, String), out: &mut TypedMapEmitter<'_, String, String>| {
+    let mapper = map_fn::<(String, String), _, _, _>(
+        |(a, b): (String, String), out: &mut TypedMapEmitter<'_, String, String>| {
             out.emit(&a, &b);
             Ok(())
-        });
+        },
+    );
     let reducer =
         reduce_fn(|a: String, bs: Vec<String>, out: &mut TypedOutEmitter<'_, (String, String)>| {
             for b in bs {
@@ -80,7 +81,7 @@ fn run_ids(
         .map(|(a, b)| (VarId(dict.get(&atom(a)).unwrap()), VarId(dict.get(&atom(b)).unwrap())))
         .collect();
     engine.put_records("in", ids).unwrap();
-    let mapper = map_fn_ctx(
+    let mapper = map_fn_ctx::<(VarId, VarId), _, _, _>(
         |_ctx: &mrsim::TaskContext,
          (a, b): (VarId, VarId),
          out: &mut TypedMapEmitter<'_, VarId, VarId>| {

@@ -5,7 +5,7 @@
 //! record types and helpers they share:
 //!
 //! * [`TripleRec`] — an [`rdf_model::STriple`] as an engine record (the base input
-//!   relation);
+//!   relation), and [`TripleView`], the same record read in place by scans;
 //! * [`Row`] / [`RowSchema`] — schema'd n-tuples, the materialization of
 //!   relational star-join results (3k-arity: subject/property/object per
 //!   pattern, exactly the redundant representation the paper measures);
@@ -29,4 +29,4 @@ pub use id_rec::{load_store_ids, IdPair, IdTripleRec, ID_TRIPLES_FILE};
 pub use row::{Row, RowSchema};
 pub use run::{PlanError, QueryRun};
 pub use support::{check_query, check_star, UnsupportedReason};
-pub use triple_rec::{load_store, read_store, TripleRec, TRIPLES_FILE};
+pub use triple_rec::{load_store, read_store, TripleRec, TripleView, TRIPLES_FILE};

@@ -10,12 +10,13 @@
 //! tab-separated text row.
 //!
 //! Column *meaning* is tracked out-of-band by [`RowSchema`] (relations have
-//! schemas; Hadoop text rows don't carry column names), which also converts
-//! rows to [`Binding`]s for result verification.
+//! schemas; Hadoop text rows don't carry column names), which also turns
+//! final rows into the query's solution set.
 
+use crate::run::PlanError;
 use mrsim::Rec;
 use rdf_model::atom::Atom;
-use rdf_query::Binding;
+use rdf_query::{SlotLayout, SolutionSet};
 
 /// A flat n-tuple of interned tokens. `Vec<Atom>` already implements
 /// [`Rec`] (byte-compatible with the historical `Vec<String>` wire
@@ -53,24 +54,48 @@ impl RowSchema {
         self.cols.iter().position(|c| c.as_deref() == Some(var))
     }
 
-    /// Convert a row to a [`Binding`].
+    /// The solution set of `rows` under this schema: each row's columns
+    /// fill the answer slots of `layout` through one column-to-slot
+    /// mapping, then [`SlotLayout::solutions`] projects onto `projection`
+    /// and builds each distinct answer once.
     ///
-    /// Returns `None` if the row's arity mismatches the schema or if two
-    /// columns binding the same variable disagree (both indicate planner
-    /// bugs; callers treat this as an error).
-    pub fn binding(&self, row: &Row) -> Option<Binding> {
-        if row.len() != self.cols.len() {
-            return None;
-        }
-        let mut b = Binding::new();
-        for (col, val) in self.cols.iter().zip(row) {
-            if let Some(var) = col {
-                if !b.bind(var, val.clone()) {
-                    return None;
+    /// A row whose arity mismatches the schema, whose columns binding one
+    /// variable disagree, or that leaves a slot of `layout` unbound is a
+    /// planner bug: [`PlanError::Internal`].
+    pub fn solutions(
+        &self,
+        rows: Vec<Row>,
+        layout: &SlotLayout,
+        projection: Option<&[String]>,
+    ) -> Result<SolutionSet, PlanError> {
+        let slots = self
+            .cols
+            .iter()
+            .map(|col| match col {
+                None => Ok(None),
+                Some(var) => layout.slot(var).map(Some).ok_or_else(|| {
+                    PlanError::Internal(format!("column ?{var} missing from answer layout"))
+                }),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let inconsistent = || PlanError::Internal("inconsistent output row".into());
+        let mut answers = Vec::with_capacity(rows.len());
+        for row in rows {
+            if row.len() != slots.len() {
+                return Err(inconsistent());
+            }
+            let mut answer = layout.empty_row();
+            for (&slot, val) in slots.iter().zip(row) {
+                let Some(slot) = slot else { continue };
+                match &answer[slot] {
+                    None => answer[slot] = Some(val),
+                    Some(bound) if *bound == val => {}
+                    Some(_) => return Err(inconsistent()),
                 }
             }
+            answers.push(answer);
         }
-        Some(b)
+        layout.solutions(answers, projection).map_err(|e| PlanError::Internal(e.to_string()))
     }
 }
 
@@ -97,40 +122,54 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn binding_extraction() {
-        let row: Row = vec![
+    fn layout() -> SlotLayout {
+        SlotLayout::new(vec!["g".into(), "l".into(), "go".into()])
+    }
+
+    fn row(subject2: &str) -> Row {
+        vec![
             "<g1>".into(),
             "<label>".into(),
             "\"a\"".into(),
-            "<g1>".into(),
+            subject2.into(),
             "<xGO>".into(),
             "<go1>".into(),
-        ];
-        let b = schema().binding(&row).unwrap();
+        ]
+    }
+
+    #[test]
+    fn solutions_extraction() {
+        let set = schema().solutions(vec![row("<g1>"), row("<g1>")], &layout(), None).unwrap();
+        assert_eq!(set.len(), 1, "duplicate rows collapse");
+        let b = set.iter().next().unwrap();
         assert_eq!(&**b.get("g").unwrap(), "<g1>");
         assert_eq!(&**b.get("l").unwrap(), "\"a\"");
         assert_eq!(&**b.get("go").unwrap(), "<go1>");
         assert_eq!(b.len(), 3);
+        let projected =
+            schema().solutions(vec![row("<g1>")], &layout(), Some(&["go".into()])).unwrap();
+        assert_eq!(projected.iter().next().unwrap().len(), 1);
     }
 
     #[test]
-    fn binding_rejects_inconsistent_row() {
-        let row: Row = vec![
-            "<g1>".into(),
-            "<label>".into(),
-            "\"a\"".into(),
-            "<g2>".into(), // subject mismatch across patterns
-            "<xGO>".into(),
-            "<go1>".into(),
-        ];
-        assert!(schema().binding(&row).is_none());
+    fn solutions_reject_inconsistent_row() {
+        // Subject mismatch across patterns.
+        let err = schema().solutions(vec![row("<g2>")], &layout(), None).unwrap_err();
+        assert!(matches!(err, PlanError::Internal(_)), "{err:?}");
     }
 
     #[test]
-    fn binding_rejects_arity_mismatch() {
-        let row: Row = vec!["<g1>".into()];
-        assert!(schema().binding(&row).is_none());
+    fn solutions_reject_arity_mismatch() {
+        let rows: Vec<Row> = vec![vec!["<g1>".into()]];
+        assert!(schema().solutions(rows, &layout(), None).is_err());
+    }
+
+    #[test]
+    fn solutions_reject_unbound_slot() {
+        // The layout binds ?x, which no column fills.
+        let wide = SlotLayout::new(vec!["g".into(), "l".into(), "go".into(), "x".into()]);
+        let err = schema().solutions(vec![row("<g1>")], &wide, None).unwrap_err();
+        assert!(err.to_string().contains("?x"), "{err}");
     }
 
     #[test]

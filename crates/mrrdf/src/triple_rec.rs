@@ -1,6 +1,7 @@
 //! Triples as engine records.
 
-use mrsim::{DfsFile, Engine, MrError, Rec, SliceReader};
+use mrsim::{DfsFile, EncodeAs, Engine, MapInput, MrError, Rec, SliceReader};
+use rdf_model::atom::AtomTable;
 use rdf_model::{STriple, TripleStore};
 
 /// Conventional DFS name for the base triple relation.
@@ -30,6 +31,59 @@ impl Rec for TripleRec {
 
     fn text_size(&self) -> u64 {
         self.0.text_size()
+    }
+}
+
+/// A [`TripleRec`] record read in place: the three tokens borrow the
+/// record bytes.
+///
+/// As a map input format (`map_fn::<TripleView, _, _, _>`), each mapper
+/// call receives a `TripleView<'_>` over the current record. Scans of the
+/// triple relation only filter tokens and re-emit some of them, so they
+/// never intern or copy a token; the borrowed tokens emit through the
+/// token codec ([`EncodeAs`]) byte for byte. Parsing applies exactly the
+/// checks of [`TripleRec::from_bytes`] — three length-prefixed UTF-8
+/// tokens and no trailing bytes — so a bad record is a [`MrError::Codec`]
+/// that skip mode quarantines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TripleView<'a> {
+    /// Subject token.
+    pub s: &'a str,
+    /// Property token.
+    pub p: &'a str,
+    /// Object token.
+    pub o: &'a str,
+}
+
+impl<'a> TripleView<'a> {
+    /// Parse one whole [`TripleRec`] record.
+    pub fn parse(record: &'a [u8]) -> Result<Self, MrError> {
+        let mut r = SliceReader::new(record);
+        let view = TripleView { s: r.read_str()?, p: r.read_str()?, o: r.read_str()? };
+        r.finish()?;
+        Ok(view)
+    }
+}
+
+impl MapInput for TripleView<'static> {
+    type Item<'a> = TripleView<'a>;
+
+    fn read<'a>(record: &'a [u8], _atoms: &'a AtomTable) -> Result<TripleView<'a>, MrError> {
+        TripleView::parse(record)
+    }
+}
+
+/// A view re-emits as the record it was read from, byte for byte.
+impl EncodeAs<TripleRec> for TripleView<'_> {
+    fn encode_as(&self, buf: &mut Vec<u8>) {
+        for token in [self.s, self.p, self.o] {
+            token.encode_as(buf);
+        }
+    }
+
+    fn text_size_as(&self) -> u64 {
+        // The N-Triples row, as `STriple::text_size`.
+        self.s.len() as u64 + self.p.len() as u64 + self.o.len() as u64 + 5
     }
 }
 
@@ -66,6 +120,31 @@ mod tests {
         let rec = TripleRec(STriple::new("<s>", "<p>", "\"o value\""));
         let back = TripleRec::from_bytes(&rec.to_bytes()).unwrap();
         assert_eq!(rec, back);
+    }
+
+    #[test]
+    fn view_reads_and_reemits_the_record() {
+        let rec = TripleRec(STriple::new("<s>", "<p>", "\"o \u{1F980}\""));
+        let bytes = rec.to_bytes();
+        let view = TripleView::parse(&bytes).unwrap();
+        assert_eq!((view.s, view.p, view.o), (&*rec.0.s, &*rec.0.p, &*rec.0.o));
+        let mut again = Vec::new();
+        view.encode_as(&mut again);
+        assert_eq!(again, bytes);
+        assert_eq!(view.text_size_as(), rec.text_size());
+    }
+
+    #[test]
+    fn view_rejects_what_from_bytes_rejects() {
+        let bytes = TripleRec(STriple::new("<s>", "<p>", "<o>")).to_bytes();
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        let mut bad_utf8 = bytes.clone();
+        *bad_utf8.last_mut().unwrap() = 0xff;
+        for bad in [&bytes[..bytes.len() - 1], &trailing, &bad_utf8, &[]] {
+            assert!(TripleRec::from_bytes(bad).is_err());
+            assert!(matches!(TripleView::parse(bad), Err(MrError::Codec(_))), "{bad:?}");
+        }
     }
 
     #[test]

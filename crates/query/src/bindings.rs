@@ -3,8 +3,11 @@
 //! Every evaluation strategy in the workspace (naive reference, Pig-like,
 //! Hive-like, NTGA eager/lazy) reduces its final output to a
 //! [`SolutionSet`] so results can be compared for exact equality — the
-//! workspace's headline correctness invariant.
+//! workspace's headline correctness invariant. The MapReduce strategies
+//! build it through one [`SlotLayout`]: fixed-width answer rows over the
+//! query's sorted variables, each turned into a [`Binding`] exactly once.
 
+use crate::query::Query;
 use rdf_model::Atom;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -36,16 +39,6 @@ impl Binding {
                 true
             }
         }
-    }
-
-    /// Merge another binding in; `false` on any conflict.
-    pub fn merge(&mut self, other: &Binding) -> bool {
-        for (k, v) in &other.0 {
-            if !self.bind(k, v.clone()) {
-                return false;
-            }
-        }
-        true
     }
 
     /// Restrict to the given variables (missing variables are dropped).
@@ -136,6 +129,100 @@ impl FromIterator<Binding> for SolutionSet {
     }
 }
 
+/// An answer row, one slot per variable of a [`SlotLayout`]; `None` is a
+/// slot not bound (yet).
+pub type AnswerRow = Vec<Option<Atom>>;
+
+/// The answer layout of a query: its variables in sorted order, one slot
+/// each.
+///
+/// Evaluators compile where each of their columns or positions lands once
+/// per query ([`SlotLayout::slot`]), fill [`AnswerRow`]s, and hand them to
+/// [`SlotLayout::solutions`], which builds every [`Binding`] once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SlotLayout {
+    vars: Vec<String>,
+}
+
+/// [`SlotLayout::solutions`] found an answer row that leaves this variable
+/// unbound — an evaluator bug, never a reason to drop the answer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnboundSlot(pub String);
+
+impl fmt::Display for UnboundSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "answer row leaves ?{} unbound", self.0)
+    }
+}
+
+impl std::error::Error for UnboundSlot {}
+
+impl SlotLayout {
+    /// The layout of the given variables (sorted, duplicates dropped).
+    pub fn new(mut vars: Vec<String>) -> Self {
+        vars.sort();
+        vars.dedup();
+        SlotLayout { vars }
+    }
+
+    /// The layout of every variable `query` binds.
+    pub fn of(query: &Query) -> Self {
+        Self::new(query.variables())
+    }
+
+    /// Slot of `var`, if the query binds it.
+    pub fn slot(&self, var: &str) -> Option<usize> {
+        self.vars.binary_search_by(|v| v.as_str().cmp(var)).ok()
+    }
+
+    /// A row with every slot unbound.
+    pub fn empty_row(&self) -> AnswerRow {
+        vec![None; self.vars.len()]
+    }
+
+    /// Build the solution set of `rows`, projected onto `projection` when
+    /// given (variables the query does not bind are dropped, as
+    /// [`Binding::project`] does).
+    ///
+    /// Projection is applied to the rows, which are then sorted and
+    /// deduplicated, so each distinct answer builds one [`Binding`]. A row
+    /// with an unbound slot is an [`UnboundSlot`] error.
+    pub fn solutions(
+        &self,
+        mut rows: Vec<AnswerRow>,
+        projection: Option<&[String]>,
+    ) -> Result<SolutionSet, UnboundSlot> {
+        for row in &rows {
+            if let Some(i) = row.iter().position(Option::is_none) {
+                return Err(UnboundSlot(self.vars[i].clone()));
+            }
+        }
+        let keep: Vec<usize> = match projection {
+            Some(vars) => {
+                let mut keep: Vec<usize> = vars.iter().filter_map(|v| self.slot(v)).collect();
+                keep.sort_unstable();
+                keep.dedup();
+                if keep.len() < self.vars.len() {
+                    for row in &mut rows {
+                        *row = keep.iter().map(|&i| row[i].take()).collect();
+                    }
+                }
+                keep
+            }
+            None => (0..self.vars.len()).collect(),
+        };
+        rows.sort_unstable();
+        rows.dedup();
+        Ok(rows
+            .into_iter()
+            .map(|row| {
+                let pairs = keep.iter().zip(row).map(|(&i, v)| (self.vars[i].clone(), v));
+                Binding(pairs.map(|(k, v)| (k, v.expect("checked bound"))).collect())
+            })
+            .collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,16 +235,6 @@ mod tests {
         assert!(b.bind("x", atom("<a>"))); // same value ok
         assert!(!b.bind("x", atom("<b>"))); // conflict
         assert_eq!(b.get("x").unwrap().as_ref(), "<a>");
-    }
-
-    #[test]
-    fn merge_conflict() {
-        let mut b1: Binding = [("x".to_string(), atom("<a>"))].into_iter().collect();
-        let b2: Binding = [("x".to_string(), atom("<b>"))].into_iter().collect();
-        assert!(!b1.merge(&b2));
-        let b3: Binding = [("y".to_string(), atom("<c>"))].into_iter().collect();
-        assert!(b1.merge(&b3));
-        assert_eq!(b1.len(), 2);
     }
 
     #[test]
@@ -179,6 +256,68 @@ mod tests {
         let b: Binding =
             [("y".to_string(), atom("<b>")), ("x".to_string(), atom("<a>"))].into_iter().collect();
         assert_eq!(b.to_string(), "{?x=<a>, ?y=<b>}");
+    }
+
+    fn layout() -> SlotLayout {
+        let q = crate::parse_query("SELECT * WHERE { ?y <p> ?x . ?x <q> ?z . }").unwrap();
+        SlotLayout::of(&q)
+    }
+
+    fn row(values: &[&str]) -> AnswerRow {
+        values.iter().map(|v| Some(atom(v))).collect()
+    }
+
+    #[test]
+    fn slots_follow_sorted_variables() {
+        let l = layout();
+        assert_eq!(l.slot("x"), Some(0));
+        assert_eq!(l.slot("y"), Some(1));
+        assert_eq!(l.slot("z"), Some(2));
+        assert_eq!(l.slot("w"), None);
+        assert_eq!(l.empty_row(), vec![None; 3]);
+    }
+
+    #[test]
+    fn solutions_match_bindings_built_one_by_one() {
+        let l = layout();
+        let rows = vec![row(&["<b>", "<1>", "<z>"]), row(&["<a>", "<2>", "<z>"])];
+        let mut gold = SolutionSet::new();
+        for r in &rows {
+            gold.insert(
+                ["x", "y", "z"]
+                    .iter()
+                    .zip(r)
+                    .map(|(k, v)| (k.to_string(), v.clone().unwrap()))
+                    .collect(),
+            );
+        }
+        let mut dup = rows.clone();
+        dup.extend(rows);
+        assert_eq!(l.solutions(dup, None).unwrap(), gold);
+    }
+
+    #[test]
+    fn projection_collapses_rows_before_building() {
+        let l = layout();
+        let rows = vec![row(&["<a>", "<1>", "<z>"]), row(&["<a>", "<2>", "<z>"])];
+        // Unknown and repeated projection variables are dropped once.
+        let vars: Vec<String> = ["z", "x", "w", "x"].iter().map(|v| v.to_string()).collect();
+        let got = l.solutions(rows.clone(), Some(&vars)).unwrap();
+        let all = l.solutions(rows, None).unwrap();
+        assert_eq!(got, all.project(&vars));
+        assert_eq!(got.len(), 1);
+    }
+
+    #[test]
+    fn unbound_slot_is_an_error() {
+        let l = layout();
+        let mut r = row(&["<a>", "<1>", "<z>"]);
+        r[1] = None;
+        assert_eq!(l.solutions(vec![r], None), Err(UnboundSlot("y".into())));
+        // Projecting the unbound variable away does not hide it.
+        let mut r = row(&["<a>", "<1>", "<z>"]);
+        r[1] = None;
+        assert!(l.solutions(vec![r], Some(&["x".to_string()])).is_err());
     }
 
     #[test]

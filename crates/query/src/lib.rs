@@ -34,7 +34,7 @@ pub mod pattern;
 pub mod query;
 pub mod star;
 
-pub use bindings::{Binding, SolutionSet};
+pub use bindings::{AnswerRow, Binding, SlotLayout, SolutionSet, UnboundSlot};
 pub use parser::{parse_query, ParseError};
 pub use pattern::{ObjFilter, ObjPattern, PropPattern, SubjPattern, TriplePattern};
 pub use query::{JoinEdge, JoinKind, Query, QueryError};

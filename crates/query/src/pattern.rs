@@ -29,6 +29,14 @@ impl PropPattern {
     pub fn is_unbound(&self) -> bool {
         matches!(self, PropPattern::Unbound(_))
     }
+
+    /// The variable name, if this position binds one.
+    pub fn var(&self) -> Option<&str> {
+        match self {
+            PropPattern::Unbound(v) => Some(v),
+            PropPattern::Bound(_) => None,
+        }
+    }
 }
 
 /// A value-level constraint on an object variable.
@@ -145,15 +153,22 @@ impl TriplePattern {
     /// cross-pattern variable consistency: checks constants and filters
     /// only.
     pub fn matches_structurally(&self, t: &STriple) -> bool {
+        self.matches_tokens(&t.s, &t.p, &t.o)
+    }
+
+    /// [`matches_structurally`](Self::matches_structurally) over borrowed
+    /// subject, property and object tokens — the form scans use on
+    /// triples they read in place.
+    pub fn matches_tokens(&self, s: &str, p: &str, o: &str) -> bool {
         let s_ok = match &self.subject {
             SubjPattern::Var(_) => true,
-            SubjPattern::Const(c) => *c == t.s,
+            SubjPattern::Const(c) => &**c == s,
         };
         let p_ok = match &self.property {
             PropPattern::Unbound(_) => true,
-            PropPattern::Bound(c) => *c == t.p,
+            PropPattern::Bound(c) => &**c == p,
         };
-        s_ok && p_ok && self.object.accepts(&t.o)
+        s_ok && p_ok && self.object.accepts(o)
     }
 }
 

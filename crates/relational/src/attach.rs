@@ -11,7 +11,7 @@
 //! star-attach are needed (3 cycles, all full scans) — exactly the MR/FS
 //! counts the paper's case study reports.
 
-use mr_rdf::{PlanError, Row, RowSchema, TripleRec};
+use mr_rdf::{PlanError, Row, RowSchema, TripleView};
 use mrsim::{map_fn, reduce_fn, InputBinding, JobSpec, MrError, TypedMapEmitter, TypedOutEmitter};
 use rdf_model::atom::Atom;
 use rdf_query::{StarPattern, TriplePattern};
@@ -39,28 +39,29 @@ pub fn star_attach_job(
         .ok_or_else(|| PlanError::Internal(format!("rows lack attach key ?{key_var}")))?;
     let schema = rows.1.concat(&star_schema(star));
 
-    let row_mapper = map_fn(move |row: Row, out: &mut TypedMapEmitter<'_, Atom, AttachVal>| {
-        let key = row
-            .get(key_col)
-            .ok_or_else(|| MrError::Op("row too short for attach key".into()))?
-            .clone();
-        out.emit(&key, &(0, row));
-        Ok(())
-    });
+    let row_mapper =
+        map_fn::<Row, _, _, _>(move |row, out: &mut TypedMapEmitter<'_, Atom, AttachVal>| {
+            let key = row
+                .get(key_col)
+                .ok_or_else(|| MrError::Op("row too short for attach key".into()))?
+                .clone();
+            out.emit(&key, &(0, row));
+            Ok(())
+        });
     let star_m = star.clone();
-    let triple_mapper =
-        map_fn(move |rec: TripleRec, out: &mut TypedMapEmitter<'_, Atom, AttachVal>| {
-            let t = &rec.0;
-            if !star_m.subject_accepts(&t.s) {
+    let triple_mapper = map_fn::<TripleView<'_>, _, _, _>(
+        move |t, out: &mut TypedMapEmitter<'_, Atom, AttachVal>| {
+            if !star_m.subject_accepts(t.s) {
                 return Ok(());
             }
             for (idx, pat) in star_m.patterns.iter().enumerate() {
-                if pat.matches_structurally(t) {
-                    out.emit(&t.s, &(1 + idx as u64, vec![t.p.clone(), t.o.clone()]));
+                if pat.matches_tokens(t.s, t.p, t.o) {
+                    out.emit(t.s, &(1 + idx as u64, &[t.p, t.o][..]));
                 }
             }
             Ok(())
-        });
+        },
+    );
 
     let star_r = star.clone();
     let reducer = reduce_fn(
@@ -153,23 +154,24 @@ pub fn pattern_attach_job(
     );
     let schema = rows.1.concat(&star_schema(&mini));
 
-    let row_mapper = map_fn(move |row: Row, out: &mut TypedMapEmitter<'_, Atom, AttachVal>| {
-        let key = row
-            .get(key_col)
-            .ok_or_else(|| MrError::Op("row too short for attach key".into()))?
-            .clone();
-        out.emit(&key, &(0, row));
-        Ok(())
-    });
-    let pat = pattern.clone();
-    let triple_mapper =
-        map_fn(move |rec: TripleRec, out: &mut TypedMapEmitter<'_, Atom, AttachVal>| {
-            let t = &rec.0;
-            if pat.matches_structurally(t) {
-                out.emit(&t.o, &(1, vec![t.s.clone(), t.p.clone(), t.o.clone()]));
-            }
+    let row_mapper =
+        map_fn::<Row, _, _, _>(move |row, out: &mut TypedMapEmitter<'_, Atom, AttachVal>| {
+            let key = row
+                .get(key_col)
+                .ok_or_else(|| MrError::Op("row too short for attach key".into()))?
+                .clone();
+            out.emit(&key, &(0, row));
             Ok(())
         });
+    let pat = pattern.clone();
+    let triple_mapper = map_fn::<TripleView<'_>, _, _, _>(
+        move |t, out: &mut TypedMapEmitter<'_, Atom, AttachVal>| {
+            if pat.matches_tokens(t.s, t.p, t.o) {
+                out.emit(t.o, &(1u64, &[t.s, t.p, t.o][..]));
+            }
+            Ok(())
+        },
+    );
     let reducer =
         reduce_fn(move |_key: Atom, values: Vec<AttachVal>, out: &mut TypedOutEmitter<'_, Row>| {
             let mut rows: Vec<Vec<Atom>> = Vec::new();
@@ -211,7 +213,7 @@ mod tests {
     use mr_rdf::load_store;
     use mrsim::Engine;
     use rdf_model::{STriple, TripleStore};
-    use rdf_query::{ObjPattern, SolutionSet};
+    use rdf_query::{ObjPattern, SlotLayout};
 
     fn store() -> TripleStore {
         TripleStore::from_triples(vec![
@@ -248,7 +250,7 @@ mod tests {
             star_attach_job("attach", ("r1", &s1), "pr", &q.stars[1], "t", "out").unwrap();
         engine.run_job(&j2).unwrap();
         let rows: Vec<Row> = engine.read_records("out").unwrap();
-        let got: SolutionSet = rows.iter().map(|r| s2.binding(r).expect("consistent")).collect();
+        let got = s2.solutions(rows, &SlotLayout::of(&q), None).unwrap();
         assert_eq!(got, gold);
     }
 
@@ -272,8 +274,10 @@ mod tests {
         engine.run_job(&job).unwrap();
         let rows: Vec<Row> = engine.read_records("out").unwrap();
         assert_eq!(rows.len(), 2); // r1, r2 match <prod>
-        for r in &rows {
-            let b = schema.binding(r).unwrap();
+        let layout = SlotLayout::new(vec!["o".into(), "x".into(), "r".into()]);
+        let set = schema.solutions(rows, &layout, None).unwrap();
+        assert_eq!(set.len(), 2);
+        for b in set.iter() {
             assert_eq!(&**b.get("x").unwrap(), "<prod>");
             assert!(b.get("r").is_some());
         }

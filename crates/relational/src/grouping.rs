@@ -13,7 +13,7 @@
 
 use mr_rdf::{check_query, PlanError, QueryRun, Row};
 use mrsim::{Engine, Workflow};
-use rdf_query::{JoinKind, Query, SolutionSet};
+use rdf_query::{JoinKind, Query, SlotLayout};
 
 use crate::attach::{pattern_attach_job, star_attach_job};
 use crate::row_join::row_join_job;
@@ -198,17 +198,7 @@ pub fn execute_grouping(
         let rows: Vec<Row> = engine
             .read_records(&final_file)
             .map_err(|e| PlanError::Internal(format!("reading final output: {e}")))?;
-        let mut set = SolutionSet::new();
-        for row in &rows {
-            let b = final_schema
-                .binding(row)
-                .ok_or_else(|| PlanError::Internal("inconsistent output row".into()))?;
-            set.insert(b);
-        }
-        Some(match &query.projection {
-            Some(vars) => set.project(vars),
-            None => set,
-        })
+        Some(final_schema.solutions(rows, &SlotLayout::of(query), query.projection.as_deref())?)
     } else {
         None
     };

@@ -16,9 +16,9 @@
 //!   passes the input through (the paper's "initial map-only job to read
 //!   entire input and compress it").
 
-use mr_rdf::{check_query, PlanError, QueryRun, RowSchema, TripleRec};
+use mr_rdf::{check_query, PlanError, QueryRun, RowSchema, TripleRec, TripleView};
 use mrsim::{map_only_fn, Engine, JobSpec, TypedOutEmitter, Workflow};
-use rdf_query::{Query, SolutionSet};
+use rdf_query::{Query, SlotLayout};
 use std::collections::HashSet;
 
 use crate::row_join::row_join_job;
@@ -98,7 +98,9 @@ pub fn execute_with(
     let base: String = if flavor == RelFlavor::Pig && query.stars.len() > 1 {
         let copy = format!("{label}.copy");
         let mapper =
-            map_only_fn(|t: TripleRec, out: &mut TypedOutEmitter<'_, TripleRec>| out.emit(&t));
+            map_only_fn::<TripleView<'_>, _, _>(|t, out: &mut TypedOutEmitter<'_, TripleRec>| {
+                out.emit(&t)
+            });
         let job =
             JobSpec::map_only(format!("{label}.load"), vec![input.to_string()], mapper, &copy)
                 .with_full_scan()
@@ -174,17 +176,7 @@ pub fn execute_with(
         let rows: Vec<mr_rdf::Row> = engine
             .read_records(&current_file)
             .map_err(|e| PlanError::Internal(format!("reading final output: {e}")))?;
-        let mut set = SolutionSet::new();
-        for row in &rows {
-            let b = current_schema
-                .binding(row)
-                .ok_or_else(|| PlanError::Internal("inconsistent output row".into()))?;
-            set.insert(b);
-        }
-        Some(match &query.projection {
-            Some(vars) => set.project(vars),
-            None => set,
-        })
+        Some(current_schema.solutions(rows, &SlotLayout::of(query), query.projection.as_deref())?)
     } else {
         None
     };

@@ -16,7 +16,7 @@ use crate::star_join::REDUCERS;
 type SidedRow = (u64, Row);
 
 fn side_mapper(side: u64, key_col: usize) -> Arc<dyn mrsim::RawMapOp> {
-    map_fn(move |row: Row, out: &mut TypedMapEmitter<'_, Atom, SidedRow>| {
+    map_fn::<Row, _, _, _>(move |row, out: &mut TypedMapEmitter<'_, Atom, SidedRow>| {
         let key = row
             .get(key_col)
             .ok_or_else(|| {
@@ -116,8 +116,8 @@ pub fn row_broadcast_join_job(
     };
     let build_col = if broadcast_left { lcol } else { rcol };
     let probe_col = if broadcast_left { rcol } else { lcol };
-    let mapper =
-        map_only_fn_ctx(move |ctx: &TaskContext, row: Row, out: &mut TypedOutEmitter<'_, Row>| {
+    let mapper = map_only_fn_ctx::<Row, _, _>(
+        move |ctx: &TaskContext, row, out: &mut TypedOutEmitter<'_, Row>| {
             let table = ctx.task_state(|| {
                 let file = ctx.broadcast(0)?;
                 let mut map: DetHashMap<Atom, Vec<Row>> = DetHashMap::default();
@@ -151,7 +151,8 @@ pub fn row_broadcast_join_job(
                 }
             }
             Ok(())
-        });
+        },
+    );
     let spec = JobSpec::map_only(name, vec![probe_file], mapper, output).with_broadcast(build_file);
     Ok((spec, schema))
 }
@@ -192,8 +193,10 @@ mod tests {
         // k1 matches: 2 lefts × 1 right.
         assert_eq!(rows.len(), 2);
         assert_eq!(schema.arity(), 4);
-        for r in &rows {
-            let b = schema.binding(r).unwrap();
+        let layout = rdf_query::SlotLayout::new(vec!["a".into(), "x".into(), "b".into()]);
+        let set = schema.solutions(rows, &layout, None).unwrap();
+        assert_eq!(set.len(), 2);
+        for b in set.iter() {
             assert_eq!(&**b.get("x").unwrap(), "<k1>");
             assert_eq!(&**b.get("b").unwrap(), "<b1>");
         }

@@ -114,7 +114,8 @@ fn map_only_jobs_respect_the_aggregate_disk_budget() {
     // fail this job.
     let engine = Engine::new(SimHdfs::new(28_000, 1)).with_workers(4);
     engine.put_records("input", (0..3000).map(|_| "wwwww".to_string())).unwrap();
-    let mapper = map_only_fn(|w: String, out: &mut TypedOutEmitter<'_, String>| out.emit(&w));
+    let mapper =
+        map_only_fn::<String, _, _>(|w, out: &mut TypedOutEmitter<'_, String>| out.emit(&w));
     let spec = JobSpec::map_only("identity", vec!["input".into()], mapper, "out")
         .with_output_compression(0.4);
     let err = engine.run_job(&spec).unwrap_err();
