@@ -6,7 +6,7 @@
 //! of the bound component"); NTGA's reduce output stays almost constant;
 //! LazyUnnest writes ~80–86 % less than Hive/Pig.
 
-use ntga_bench::{report, run_panel, BenchOpts, Runner, Scale};
+use ntga_bench::{paper_panel, report, run_panel, BenchOpts, Scale};
 
 fn main() {
     let opts = BenchOpts::from_env();
@@ -33,7 +33,7 @@ fn main() {
             (t.id, t.query)
         })
         .collect();
-    let rows = run_panel(&cluster, &store, &queries, &opts.panel_or(Runner::paper_panel(1024)));
+    let rows = run_panel(&cluster, &store, &queries, &opts.panel_or(paper_panel(1024)));
     report::print_table(
         "Figure 10: total HDFS writes, varying bound-property count",
         "paper shape: LazyUnnest 80-86% less writes than Hive/Pig; NTGA writes ~flat in bound arity",

@@ -7,8 +7,8 @@
 //! partial adds reduce-side overhead for nothing. This is the ablation
 //! behind the paper's Auto policy.
 
-use ntga_bench::{report, BenchOpts, Runner, Scale};
-use ntga_core::Strategy;
+use ntga::{run_query, Approach};
+use ntga_bench::{report, BenchOpts, Scale};
 
 fn main() {
     let opts = BenchOpts::from_env();
@@ -56,14 +56,16 @@ fn main() {
     );
     let mut rows = Vec::new();
     for (qid, query) in &queries {
-        for (label, strategy) in [
-            ("LazyUnnest(full)", Strategy::LazyFull),
-            ("LazyUnnest(phi_16)", Strategy::LazyPartial(16)),
-            ("LazyUnnest(phi_64)", Strategy::LazyPartial(64)),
-            ("LazyUnnest(phi_1K)", Strategy::LazyPartial(1024)),
+        for (label, approach) in [
+            ("LazyUnnest(full)", Approach::NtgaLazyFull),
+            ("LazyUnnest(phi_16)", Approach::NtgaLazyPartial(16)),
+            ("LazyUnnest(phi_64)", Approach::NtgaLazyPartial(64)),
+            ("LazyUnnest(phi_1K)", Approach::NtgaLazyPartial(1024)),
         ] {
-            let runner = Runner::Ntga(strategy);
-            let run = runner.run(&cluster, &store, query, &format!("{qid}-{label}"));
+            let run_label = format!("{qid}-{label}");
+            let engine = cluster.engine_with(&store);
+            let run = run_query(approach, &engine, query, &run_label, false)
+                .unwrap_or_else(|e| panic!("{run_label}: planning failed: {e}"));
             let last = run.stats.jobs.last().expect("join cycle");
             println!(
                 "{:<6} {:<22} {:>12} {:>12} {:>12} {:>6.2} {:>10.1} {:>12} {:>12}",

@@ -6,7 +6,7 @@
 //! Pig/Hive; LazyUnnest improves on EagerUnnest by ~54 % (B3) and
 //! ~65 % (B4).
 
-use ntga_bench::{report, run_panel, BenchOpts, Runner, Scale};
+use ntga_bench::{paper_panel, report, run_panel, BenchOpts, Scale};
 
 fn main() {
     let opts = BenchOpts::from_env();
@@ -30,7 +30,7 @@ fn main() {
     );
     let queries: Vec<(String, rdf_query::Query)> =
         ntga::testbed::b_series().into_iter().map(|t| (t.id, t.query)).collect();
-    let rows = run_panel(&cluster, &store, &queries, &opts.panel_or(Runner::paper_panel(1024)));
+    let rows = run_panel(&cluster, &store, &queries, &opts.panel_or(paper_panel(1024)));
     report::print_table(
         "Figure 12: BSBM-1M analog, replication 2 — B0-B6",
         "paper shape: NTGA completes everything; Pig/Hive fail B3/B4 and the complex B5/B6; lazy beats eager",

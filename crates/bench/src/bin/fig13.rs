@@ -8,7 +8,7 @@
 //! 152 GB versus 1.8 GB (eager) / 0.6 GB (lazy), 48–53 % faster; A5/A6
 //! save a full-table scan (22 % / 48 % gains).
 
-use ntga_bench::{report, run_panel, BenchOpts, Runner, Scale};
+use ntga_bench::{paper_panel, report, run_panel, BenchOpts, Scale};
 
 fn main() {
     let opts = BenchOpts::from_env();
@@ -37,7 +37,7 @@ fn main() {
     let cluster = opts.cluster(cluster);
     let queries: Vec<(String, rdf_query::Query)> =
         ntga::testbed::a_series().into_iter().map(|t| (t.id, t.query)).collect();
-    let rows = run_panel(&cluster, &store, &queries, &opts.panel_or(Runner::paper_panel(1024)));
+    let rows = run_panel(&cluster, &store, &queries, &opts.panel_or(paper_panel(1024)));
     report::print_table(
         "Figure 13: Bio2RDF A1-A6",
         "paper shape: NTGA writes orders of magnitude less; Pig fails A4; lazy < eager < Hive/Pig everywhere",

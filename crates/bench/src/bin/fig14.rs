@@ -8,7 +8,7 @@
 //! ≈ 0.89–0.98) gains ~50 % over both. On BTC the scan-sharing saves 50 %
 //! of reads and lazy unnesting writes 98 % less on C4.
 
-use ntga_bench::{report, run_panel, BenchOpts, Runner, Scale};
+use ntga_bench::{paper_panel, report, run_panel, BenchOpts, Scale};
 use ntga_core::metrics;
 
 fn run_dataset(
@@ -31,7 +31,7 @@ fn run_dataset(
     let cluster = opts.cluster(cluster);
     let queries: Vec<(String, rdf_query::Query)> =
         ntga::testbed::c_series().into_iter().map(|t| (t.id, t.query)).collect();
-    let rows = run_panel(&cluster, store, &queries, &opts.panel_or(Runner::paper_panel(1024)));
+    let rows = run_panel(&cluster, store, &queries, &opts.panel_or(paper_panel(1024)));
     report::print_table(&format!("Figure 14 ({name}): C1-C4"), note, &rows);
     if opts.strategy.is_none() {
         for q in ["C3", "C4"] {

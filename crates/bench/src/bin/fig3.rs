@@ -6,8 +6,8 @@
 //! (Q1*, Q2*) but 3 cycles / 3 full scans for object-object joins (Q3*);
 //! NTGA needs 2 cycles with a single full scan and wins everywhere.
 
-use ntga_bench::{report, run_panel, BenchOpts, Runner, Scale};
-use ntga_core::Strategy;
+use ntga::Approach;
+use ntga_bench::{report, run_panel, BenchOpts, Scale};
 use relbase::Grouping;
 
 fn main() {
@@ -21,16 +21,16 @@ fn main() {
     );
     let queries: Vec<(String, rdf_query::Query)> =
         ntga::testbed::case_study().into_iter().map(|t| (t.id, t.query)).collect();
-    let runners = opts.panel_or(vec![
-        Runner::Grouping(Grouping::SjPerCycle),
-        Runner::Grouping(Grouping::SelSjFirst),
-        Runner::Ntga(Strategy::Auto(1024)),
+    let approaches = opts.panel_or(vec![
+        Approach::Grouping(Grouping::SjPerCycle),
+        Approach::Grouping(Grouping::SelSjFirst),
+        Approach::NtgaAuto(1024),
     ]);
     let cluster = opts.cluster(ntga::ClusterConfig {
         cost: mrsim::CostModel::scaled_to(store.text_bytes()),
         ..Default::default()
     });
-    let rows = run_panel(&cluster, &store, &queries, &runners);
+    let rows = run_panel(&cluster, &store, &queries, &approaches);
     report::print_table(
         "Figure 3: groupings of star-joins (MR = cycles, FS = full scans)",
         "paper shape: SJ-per-cycle 3MR/2FS; Sel-SJ-first 2MR/2FS (OS: Q1,Q2) or 3MR/3FS (OO: Q3); NTGA 2MR/1FS",

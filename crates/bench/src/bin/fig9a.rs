@@ -5,7 +5,7 @@
 //! EagerUnnest completes B0–B2 but fails B3 (double unbound) and B4;
 //! LazyUnnest completes everything.
 
-use ntga_bench::{report, run_panel, BenchOpts, Runner, Scale};
+use ntga_bench::{paper_panel, report, run_panel, BenchOpts, Scale};
 
 fn main() {
     let opts = BenchOpts::from_env();
@@ -35,7 +35,7 @@ fn main() {
         .filter(|t| ["B0", "B1", "B2", "B3", "B4"].contains(&t.id.as_str()))
         .map(|t| (t.id, t.query))
         .collect();
-    let rows = run_panel(&cluster, &store, &queries, &opts.panel_or(Runner::paper_panel(1024)));
+    let rows = run_panel(&cluster, &store, &queries, &opts.panel_or(paper_panel(1024)));
     report::print_table(
         "Figure 9(a): BSBM-2M, replication 2, constrained disk — failures marked X",
         "paper shape: Pig/Hive fail the unbound queries; EagerUnnest fails B3,B4; LazyUnnest completes all\n(deviation: our B0/B2 relational footprints are milder than BSBM's, so they fit; see EXPERIMENTS.md)",

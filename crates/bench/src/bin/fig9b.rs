@@ -7,7 +7,7 @@
 //! approaches behave like B0; on B3/B4 LazyUnnest massively reduces
 //! writes (80 %+ less than eager on B3, 61 % less on B4).
 
-use ntga_bench::{report, run_panel, BenchOpts, Runner, Scale};
+use ntga_bench::{paper_panel, report, run_panel, BenchOpts, Scale};
 
 fn main() {
     let opts = BenchOpts::from_env();
@@ -35,7 +35,7 @@ fn main() {
         .filter(|t| ["B0", "B1", "B2", "B3", "B4"].contains(&t.id.as_str()))
         .map(|t| (t.id, t.query))
         .collect();
-    let rows = run_panel(&cluster, &store, &queries, &opts.panel_or(Runner::paper_panel(1024)));
+    let rows = run_panel(&cluster, &store, &queries, &opts.panel_or(paper_panel(1024)));
     report::print_table(
         "Figure 9(b): BSBM-2M, replication 1 — execution times",
         "paper shape: NTGA fastest everywhere; Pig/Hive still fail B3/B4; lazy beats eager on B1/B3/B4",

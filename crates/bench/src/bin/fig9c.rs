@@ -5,7 +5,7 @@
 //! consistently wins, about 25 % faster than Hive; NTGA times stay nearly
 //! flat as bound arity grows while relational times grow.
 
-use ntga_bench::{report, run_panel, BenchOpts, Runner, Scale};
+use ntga_bench::{paper_panel, report, run_panel, BenchOpts, Scale};
 
 fn main() {
     let opts = BenchOpts::from_env();
@@ -33,7 +33,7 @@ fn main() {
             (t.id, t.query)
         })
         .collect();
-    let rows = run_panel(&cluster, &store, &queries, &opts.panel_or(Runner::paper_panel(1024)));
+    let rows = run_panel(&cluster, &store, &queries, &opts.panel_or(paper_panel(1024)));
     report::print_table(
         "Figure 9(c): execution times, varying bound-property count",
         "paper shape: Pig fails beyond 3 bound patterns (here: beyond 4 — our Pig/Hive footprints differ\nless than the real systems'); NTGA untroubled and ~flat as bound arity grows",

@@ -78,10 +78,13 @@ fn main() {
     // The run label feeds the job names, and job names seed the fault
     // draws — so it must NOT vary with the worker count, or the regimes
     // would face different faults per cell. Only the report label does.
-    let run_cell = |faults: FaultConfig, workers: usize, run_label: &str, row_label: &str| {
+    // Its `LazyUnnest-auto1024-` prefix is part of the draws too: changing
+    // it moves the chosen seed and every faulted row.
+    let run_cell = |faults: FaultConfig, workers: usize, regime: &str, row_label: &str| {
         let cluster = opts.cluster(base.clone().with_faults(faults).with_workers(workers));
         let engine = cluster.engine_with(&store);
-        let run = run_query(Approach::NtgaAuto(1024), &engine, &query.query, run_label, false)
+        let run_label = format!("LazyUnnest-auto1024-{regime}");
+        let run = run_query(Approach::NtgaAuto(1024), &engine, &query.query, &run_label, false)
             .unwrap_or_else(|e| panic!("{run_label}: planning failed: {e}"));
         report::Row::from_run(&query.id, row_label, &run)
     };
@@ -178,14 +181,16 @@ fn policy_demo(
 
     // One shared run label per exhibit: both policies must face the SAME
     // deterministic faults (job names seed the draws), so only the
-    // recovery decision differs between the paired rows.
+    // recovery decision differs between the paired rows. The labels are
+    // fixed strings because the draws, and so the seeds found, hash them.
     let retry = RecoveryPolicy::RetryStage { max_retries: 3, backoff_s: 30.0 };
     let exhaust_cell = |seed: u64, recovery: RecoveryPolicy, row_label: &str| {
         let faults = FaultConfig::with_probability(0.04, seed).with_max_attempts(1);
         let cluster =
             opts.cluster(base.clone().with_faults(faults).with_workers(4).with_recovery(recovery));
         let engine = cluster.engine_with(store);
-        let run = run_query(Approach::NtgaAuto(1024), &engine, &query.query, "exhaust", false)
+        let label = "LazyUnnest-auto1024-exhaust";
+        let run = run_query(Approach::NtgaAuto(1024), &engine, &query.query, label, false)
             .unwrap_or_else(|e| panic!("{row_label}: planning failed: {e}"));
         report::Row::from_run("policy", row_label, &run)
     };
@@ -222,7 +227,7 @@ fn policy_demo(
         }
         let cluster = opts.cluster(cluster.with_workers(4).with_recovery(recovery));
         let engine = cluster.engine_with(store);
-        let run = run_query(Approach::Pig, &engine, &query.query, "diskfull", false)
+        let run = run_query(Approach::Pig, &engine, &query.query, "Pig-diskfull", false)
             .unwrap_or_else(|e| panic!("{row_label}: planning failed: {e}"));
         report::Row::from_run("policy", row_label, &run)
     };
@@ -230,7 +235,7 @@ fn policy_demo(
         let mut cluster = base.clone();
         cluster.replication = 2;
         let engine = cluster.with_workers(4).engine_with(store);
-        let run = run_query(Approach::Pig, &engine, &query.query, "diskfull", false).unwrap();
+        let run = run_query(Approach::Pig, &engine, &query.query, "Pig-diskfull", false).unwrap();
         assert!(run.succeeded(), "Pig must complete unconstrained to measure its footprint");
         run.stats.peak_disk_bytes
     };

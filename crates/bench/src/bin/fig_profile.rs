@@ -14,11 +14,15 @@
 //!   strategy (columns `est(s)`/`actual(s)` make the comparison visible);
 //! * two profiled runs of the same plan serialize byte-identically.
 
+use ntga::{run_query, Approach};
 use ntga_bench::{profile_queries, report, BenchOpts, Scale};
-use ntga_core::Strategy;
 
-const HAND_PICKED: [Strategy; 4] =
-    [Strategy::Eager, Strategy::LazyFull, Strategy::LazyPartial(1024), Strategy::Auto(1024)];
+const HAND_PICKED: [Approach; 4] = [
+    Approach::NtgaEager,
+    Approach::NtgaLazyFull,
+    Approach::NtgaLazyPartial(1024),
+    Approach::NtgaAuto(1024),
+];
 
 fn main() {
     let opts = BenchOpts::from_env();
@@ -52,23 +56,17 @@ fn main() {
     let mut best: Vec<(String, f64, String)> = Vec::new();
     for (qid, query) in &queries {
         let mut cell: Option<(f64, String)> = None;
-        for strategy in HAND_PICKED {
+        for approach in HAND_PICKED {
             let engine = cluster.engine_with(&store);
-            let label = format!("{qid}-{}", strategy.label());
-            let run = strategy
-                .plan(query)
-                .and_then(|plan| {
-                    let plane = ntga_core::DataPlane::Lexical;
-                    let input = mr_rdf::TRIPLES_FILE;
-                    ntga_core::execute_plan_on(plane, &plan, &engine, query, input, &label, false)
-                })
+            let label = format!("{qid}-{}", approach.label());
+            let run = run_query(approach, &engine, query, &label, false)
                 .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
             assert!(run.succeeded(), "{label}: hand-picked run failed");
             let t = run.stats.sim_seconds;
             if cell.as_ref().is_none_or(|(b, _)| t < *b) {
-                cell = Some((t, strategy.label()));
+                cell = Some((t, approach.label()));
             }
-            rows.push(report::Row::from_run(qid, &strategy.label(), &run));
+            rows.push(report::Row::from_run(qid, &approach.label(), &run));
         }
         let (t, label) = cell.expect("hand-picked panel is non-empty");
         best.push((qid.clone(), t, label));

@@ -19,9 +19,8 @@
 
 pub mod report;
 
-use mr_rdf::QueryRun;
 use mrsim::{ChromeTraceSink, JsonlSink, MultiSink, TraceSink};
-use ntga_core::Strategy;
+use ntga::Approach;
 use rdf_model::TripleStore;
 use rdf_query::Query;
 use std::path::{Path, PathBuf};
@@ -35,8 +34,9 @@ use std::sync::Arc;
 ///   simulated timeline;
 /// * `--json <path>` — write the report rows as a JSON array;
 /// * `--strategy <name>` — replace the figure's approach panel with a
-///   single named approach: `auto-cost` (the statistics-driven optimizer),
-///   `eager`, `lazy-full`, `lazy-partial:<m>`, or `auto:<m>`;
+///   single [`Approach`], in its one spelling grammar: `pig`, `hive`,
+///   `eager`, `lazy`, `partial[:M]`, `auto[:M]` or `auto-cost` (the
+///   statistics-driven optimizer); `M` defaults to 1024;
 /// * `--profile <path>` — run EXPLAIN ANALYZE for the figure's queries
 ///   (cost-based plan executed on a profiling engine, joined against the
 ///   measured run) and write the profile documents as a JSON array at
@@ -51,7 +51,7 @@ pub struct BenchOpts {
     /// EXPLAIN ANALYZE JSON output path (`--profile`).
     pub profile: Option<PathBuf>,
     /// Panel override (`--strategy`).
-    pub strategy: Option<Runner>,
+    pub strategy: Option<Approach>,
     sink: Option<Arc<dyn TraceSink>>,
 }
 
@@ -82,7 +82,7 @@ impl BenchOpts {
                 }
                 "--strategy" => {
                     let name = it.next().ok_or_else(|| "--strategy requires a name".to_string())?;
-                    strategy = Some(parse_strategy(&name)?);
+                    strategy = Some(name.parse()?);
                 }
                 other => {
                     return Err(format!(
@@ -106,7 +106,7 @@ impl BenchOpts {
             eprintln!(
                 "usage: fig<N> [--trace <path>] [--json <path>] [--profile <path>] \
                  [--strategy <name>]\n\
-                 strategies: auto-cost | eager | lazy-full | lazy-partial:<m> | auto:<m>"
+                 strategies: pig | hive | eager | lazy | partial[:M] | auto[:M] | auto-cost"
             );
             std::process::exit(2);
         })
@@ -114,9 +114,9 @@ impl BenchOpts {
 
     /// The figure's approach panel: the `--strategy` override when given,
     /// otherwise `default`.
-    pub fn panel_or(&self, default: Vec<Runner>) -> Vec<Runner> {
+    pub fn panel_or(&self, default: Vec<Approach>) -> Vec<Approach> {
         match self.strategy {
-            Some(runner) => vec![runner],
+            Some(approach) => vec![approach],
             None => default,
         }
     }
@@ -220,29 +220,6 @@ pub fn profile_queries(
         .collect()
 }
 
-fn parse_strategy(name: &str) -> Result<Runner, String> {
-    fn phi(name: &str, arg: &str) -> Result<u64, String> {
-        arg.parse().map_err(|_| format!("{name} needs an integer threshold, got `{arg}`"))
-    }
-    match name {
-        "auto-cost" => Ok(Runner::NtgaCost),
-        "eager" => Ok(Runner::Ntga(Strategy::Eager)),
-        "lazy-full" => Ok(Runner::Ntga(Strategy::LazyFull)),
-        other => {
-            if let Some(arg) = other.strip_prefix("lazy-partial:") {
-                Ok(Runner::Ntga(Strategy::LazyPartial(phi("lazy-partial", arg)?)))
-            } else if let Some(arg) = other.strip_prefix("auto:") {
-                Ok(Runner::Ntga(Strategy::Auto(phi("auto", arg)?)))
-            } else {
-                Err(format!(
-                    "unknown strategy `{other}` (expected auto-cost, eager, lazy-full, \
-                     lazy-partial:<m> or auto:<m>)"
-                ))
-            }
-        }
-    }
-}
-
 fn build_trace_sink(path: &Path) -> Result<Arc<dyn TraceSink>, String> {
     let jsonl = JsonlSink::create(path.with_extension("jsonl"))
         .map_err(|e| format!("cannot create JSONL event log: {e}"))?;
@@ -280,87 +257,28 @@ impl Scale {
     }
 }
 
-/// An execution approach paired with its report label — thin wrapper so
-/// figure binaries can mix relational flavors, NTGA strategies and the
-/// Figure 3 groupings in one panel.
-#[derive(Debug, Clone, Copy)]
-pub enum Runner {
-    /// Pig-like or Hive-like relational execution.
-    Relational(relbase::RelFlavor),
-    /// A Figure 3 grouping.
-    Grouping(relbase::Grouping),
-    /// An NTGA strategy.
-    Ntga(Strategy),
-    /// The cost-based optimizer: per-star / per-cycle choices derived from
-    /// [`rdf_model::StoreStats`] and the engine's [`mrsim::CostModel`]
-    /// (`--strategy auto-cost`).
-    NtgaCost,
+/// The panel used by most figures: Pig, Hive, EagerUnnest, LazyUnnest.
+pub fn paper_panel(phi: u64) -> Vec<Approach> {
+    vec![Approach::Pig, Approach::Hive, Approach::NtgaEager, Approach::NtgaAuto(phi)]
 }
 
-impl Runner {
-    /// Report label.
-    pub fn label(&self) -> String {
-        match self {
-            Runner::Relational(f) => f.label().to_string(),
-            Runner::Grouping(g) => g.label().to_string(),
-            Runner::Ntga(s) => s.label(),
-            Runner::NtgaCost => "CostBased".to_string(),
-        }
-    }
-
-    /// The panel used by most figures: Pig, Hive, EagerUnnest, LazyUnnest.
-    pub fn paper_panel(phi: u64) -> Vec<Runner> {
-        vec![
-            Runner::Relational(relbase::RelFlavor::Pig),
-            Runner::Relational(relbase::RelFlavor::Hive),
-            Runner::Ntga(Strategy::Eager),
-            Runner::Ntga(Strategy::Auto(phi)),
-        ]
-    }
-
-    /// Execute one query on a fresh engine built from `cluster`.
-    pub fn run(
-        &self,
-        cluster: &ntga::ClusterConfig,
-        store: &TripleStore,
-        query: &Query,
-        label: &str,
-    ) -> QueryRun {
-        let engine = cluster.engine_with(store);
-        let input = mr_rdf::TRIPLES_FILE;
-        let run_plan = |plan: Result<ntga_core::PhysicalPlan, mr_rdf::PlanError>| {
-            let plan = plan?;
-            let plane = ntga_core::DataPlane::Lexical;
-            ntga_core::execute_plan_on(plane, &plan, &engine, query, input, label, false)
-        };
-        let result = match self {
-            Runner::Relational(f) => relbase::execute(*f, &engine, query, input, label, false),
-            Runner::Grouping(g) => {
-                relbase::execute_grouping(*g, &engine, query, input, label, false)
-            }
-            Runner::Ntga(s) => run_plan(s.plan(query)),
-            Runner::NtgaCost => {
-                let config = ntga_core::OptimizerConfig::for_engine(&engine);
-                run_plan(ntga_core::optimize(query, &store.stats(), &engine.cost, &config))
-            }
-        };
-        result.unwrap_or_else(|e| panic!("{label}: planning failed: {e}"))
-    }
-}
-
-/// Run a panel of runners over a set of queries, returning report rows.
+/// Run a panel of approaches over a set of queries, each on a fresh engine
+/// built from `cluster`, returning report rows. Runs are labeled
+/// `{qid}-{approach label}`.
 pub fn run_panel(
     cluster: &ntga::ClusterConfig,
     store: &TripleStore,
     queries: &[(String, Query)],
-    runners: &[Runner],
+    approaches: &[Approach],
 ) -> Vec<report::Row> {
     let mut rows = Vec::new();
     for (qid, query) in queries {
-        for runner in runners {
-            let label = format!("{qid}-{}", runner.label());
-            let run = runner.run(cluster, store, query, &label);
-            rows.push(report::Row::from_run(qid, &runner.label(), &run));
+        for &approach in approaches {
+            let label = format!("{qid}-{}", approach.label());
+            let engine = cluster.engine_with(store);
+            let run = ntga::run_query(approach, &engine, query, &label, false)
+                .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+            rows.push(report::Row::from_run(qid, &approach.label(), &run));
         }
     }
     rows
@@ -388,7 +306,7 @@ mod tests {
             &ntga::ClusterConfig::default(),
             &store,
             &[("B1ish".to_string(), q)],
-            &Runner::paper_panel(64),
+            &paper_panel(64),
         );
         assert_eq!(rows.len(), 4);
         assert!(rows.iter().all(|r| r.ok));
@@ -478,25 +396,15 @@ mod tests {
     #[test]
     fn strategy_flag_overrides_panel() {
         let opts = BenchOpts::parse(["--strategy", "auto-cost"].map(String::from)).unwrap();
-        assert!(matches!(opts.strategy, Some(Runner::NtgaCost)));
-        let panel = opts.panel_or(Runner::paper_panel(64));
-        assert_eq!(panel.len(), 1);
-        assert_eq!(panel[0].label(), "CostBased");
-
-        let opts = BenchOpts::parse(["--strategy", "lazy-partial:32"].map(String::from)).unwrap();
-        assert!(matches!(opts.strategy, Some(Runner::Ntga(Strategy::LazyPartial(32)))));
-        let opts = BenchOpts::parse(["--strategy", "auto:8"].map(String::from)).unwrap();
-        assert!(matches!(opts.strategy, Some(Runner::Ntga(Strategy::Auto(8)))));
-        let opts = BenchOpts::parse(["--strategy", "eager"].map(String::from)).unwrap();
-        assert!(matches!(opts.strategy, Some(Runner::Ntga(Strategy::Eager))));
+        assert_eq!(opts.panel_or(paper_panel(64)), [Approach::NtgaAutoCost]);
 
         // No override: the default panel passes through untouched.
         let opts = BenchOpts::parse(Vec::new()).unwrap();
-        assert_eq!(opts.panel_or(Runner::paper_panel(64)).len(), 4);
+        assert_eq!(opts.panel_or(paper_panel(64)), paper_panel(64));
 
+        // Spellings are `Approach::from_str`'s; a bad one fails the parse.
         assert!(BenchOpts::parse(["--strategy".to_string()]).is_err());
-        assert!(BenchOpts::parse(["--strategy", "bogus"].map(String::from)).is_err());
-        assert!(BenchOpts::parse(["--strategy", "lazy-partial:x"].map(String::from)).is_err());
+        assert!(BenchOpts::parse(["--strategy", "magic"].map(String::from)).is_err());
     }
 
     #[test]
@@ -510,7 +418,7 @@ mod tests {
             &ntga::ClusterConfig::default(),
             &store,
             &[("B1ish".to_string(), q)],
-            &[Runner::NtgaCost, Runner::Ntga(Strategy::Auto(64))],
+            &[Approach::NtgaAutoCost, Approach::NtgaAuto(64)],
         );
         assert!(rows.iter().all(|r| r.ok));
         let cost = rows.iter().find(|r| r.approach == "CostBased").unwrap();

@@ -10,8 +10,9 @@
 //! ntga-cli compare  --data data.nt --query q.rq [--replication 2] [--disk-factor F]
 //! ```
 //!
-//! `--approach` is one of `pig`, `hive`, `eager`, `lazy`, `partial:M`,
-//! `auto:M`, `auto-cost`. `auto-cost` plans with the statistics-driven
+//! `--approach` takes [`Approach`]'s one spelling grammar: `pig`, `hive`,
+//! `eager`, `lazy`, `partial[:M]`, `auto[:M]` or `auto-cost` (`M` is the φ
+//! range, default 1024). `auto-cost` plans with the statistics-driven
 //! optimizer (per-star unnest placement, broadcast joins, reducer sizing)
 //! and needs `--data` even for `explain`, since the plan depends on the
 //! store's statistics. `--disk-factor F` bounds the cluster's disk to
@@ -79,8 +80,9 @@ USAGE:
                     [--replication N] [--disk-factor F] [--limit N] [--no-solutions]
   ntga-cli compare  --data FILE --query FILE [--replication N] [--disk-factor F]
 
-APPROACH: pig | hive | eager | lazy | partial:M | auto:M | auto-cost
-          (default auto:1024; auto-cost requires --data, also for explain)";
+APPROACH: pig | hive | eager | lazy | partial[:M] | auto[:M] | auto-cost
+          (M is the φ range, default 1024; the default approach is auto;
+          auto-cost requires --data, also for explain)";
 
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
@@ -107,24 +109,8 @@ fn required<'a>(opts: &'a HashMap<String, String>, key: &str) -> Result<&'a str,
     opts.get(key).map(String::as_str).ok_or_else(|| format!("missing --{key}"))
 }
 
-fn parse_approach(spec: &str) -> Result<Approach, String> {
-    let (name, param) = match spec.split_once(':') {
-        Some((n, p)) => (n, Some(p)),
-        None => (spec, None),
-    };
-    let m = |p: Option<&str>| -> Result<u64, String> {
-        p.unwrap_or("1024").parse().map_err(|_| format!("bad φ range in '{spec}'"))
-    };
-    match name {
-        "pig" => Ok(Approach::Pig),
-        "hive" => Ok(Approach::Hive),
-        "eager" => Ok(Approach::NtgaEager),
-        "lazy" | "lazyfull" => Ok(Approach::NtgaLazyFull),
-        "partial" => Ok(Approach::NtgaLazyPartial(m(param)?)),
-        "auto" => Ok(Approach::NtgaAuto(m(param)?)),
-        "auto-cost" | "cost" => Ok(Approach::NtgaAutoCost),
-        other => Err(format!("unknown approach '{other}'")),
-    }
+fn approach(opts: &HashMap<String, String>) -> Result<Approach, String> {
+    opts.get("approach").map_or(Ok(Approach::NtgaAuto(1024)), |spec| spec.parse())
 }
 
 fn load_data(opts: &HashMap<String, String>) -> Result<TripleStore, String> {
@@ -208,31 +194,25 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
     let query = load_query(opts)?;
-    let approach = parse_approach(opts.get("approach").map_or("auto:1024", String::as_str))?;
-    let strategy = match approach {
-        Approach::Pig | Approach::Hive => {
-            return Err("explain currently covers the NTGA strategies".into())
-        }
-        Approach::NtgaEager => Strategy::Eager,
-        Approach::NtgaLazyFull => Strategy::LazyFull,
-        Approach::NtgaLazyPartial(m) => Strategy::LazyPartial(m),
-        Approach::NtgaAuto(m) => Strategy::Auto(m),
-        Approach::NtgaAutoCost => {
-            // The cost-based plan depends on the data: derive statistics,
-            // optimize under the same scaled cost model `query` would use,
-            // and render the chosen physical plan with its estimates.
-            let store = load_data(opts)
-                .map_err(|e| format!("--approach auto-cost needs --data to plan from: {e}"))?;
-            let stats = store.stats();
-            let cost = CostModel::scaled_to(store.text_bytes());
-            let config = ntga_core::OptimizerConfig::default();
-            let plan =
-                ntga_core::optimize(&query, &stats, &cost, &config).map_err(|e| e.to_string())?;
-            let text = ntga_core::explain_plan(&plan, &query).map_err(|e| e.to_string())?;
-            print!("{text}");
-            return Ok(());
-        }
-    };
+    let approach = approach(opts)?;
+    if approach == Approach::NtgaAutoCost {
+        // The cost-based plan depends on the data: derive statistics,
+        // optimize under the same scaled cost model `query` would use,
+        // and render the chosen physical plan with its estimates.
+        let store = load_data(opts)
+            .map_err(|e| format!("--approach auto-cost needs --data to plan from: {e}"))?;
+        let stats = store.stats();
+        let cost = CostModel::scaled_to(store.text_bytes());
+        let config = ntga_core::OptimizerConfig::default();
+        let plan =
+            ntga_core::optimize(&query, &stats, &cost, &config).map_err(|e| e.to_string())?;
+        let text = ntga_core::explain_plan(&plan, &query).map_err(|e| e.to_string())?;
+        print!("{text}");
+        return Ok(());
+    }
+    let strategy = approach
+        .strategy()
+        .ok_or_else(|| "explain currently covers the NTGA strategies".to_string())?;
     let plan = ntga_core::explain(strategy, &query).map_err(|e| e.to_string())?;
     print!("{plan}");
     Ok(())
@@ -251,7 +231,7 @@ fn print_stats(stats: &WorkflowStats) {
 fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     let store = load_data(opts)?;
     let query = load_query(opts)?;
-    let approach = parse_approach(opts.get("approach").map_or("auto:1024", String::as_str))?;
+    let approach = approach(opts)?;
     let want_solutions = !opts.contains_key("no-solutions");
     let cluster = cluster_for(opts, &store)?;
     let engine = cluster.engine_with(&store);
@@ -287,7 +267,7 @@ fn cmd_compare(opts: &HashMap<String, String>) -> Result<(), String> {
     let query = load_query(opts)?;
     let cluster = cluster_for(opts, &store)?;
     println!(
-        "{:<22} {:>6} {:>4} {:>14} {:>14} {:>12} {:>10}  status",
+        "{:<26} {:>6} {:>4} {:>14} {:>14} {:>12} {:>10}  status",
         "approach", "cycles", "FS", "read B", "written B", "shuffled B", "sim(s)"
     );
     let mut reference: Option<SolutionSet> = None;
@@ -302,7 +282,7 @@ fn cmd_compare(opts: &HashMap<String, String>) -> Result<(), String> {
         let engine = cluster.engine_with(&store);
         let run = run_query(approach, &engine, &query, "cmp", true).map_err(|e| e.to_string())?;
         println!(
-            "{:<22} {:>6} {:>4} {:>14} {:>14} {:>12} {:>10.1}  {}",
+            "{:<26} {:>6} {:>4} {:>14} {:>14} {:>12} {:>10.1}  {}",
             approach.label(),
             run.stats.mr_cycles,
             run.stats.full_scans,

@@ -1,14 +1,20 @@
 //! Uniform runner over every execution approach the paper compares.
 
 use mr_rdf::{load_store, PlanError, QueryRun, TRIPLES_FILE};
-use mrsim::{CostModel, Engine, FaultConfig, RecoveryPolicy, SimHdfs, SortStrategy, TraceSink};
+use mrsim::{CostModel, Engine, FaultConfig, RecoveryPolicy, SimHdfs, TraceSink};
 use ntga_core::{DataPlane, OptimizerConfig, Strategy};
 use rdf_model::TripleStore;
 use rdf_query::Query;
-use relbase::RelFlavor;
+use relbase::{Grouping, RelFlavor};
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// An execution approach from the paper's evaluation.
+///
+/// Parsed from one spelling grammar ([`FromStr`]): `pig`, `hive`, `eager`,
+/// `lazy` (also `lazyfull`, `lazy-full`), `partial[:M]` (also
+/// `lazy-partial:M`), `auto[:M]`, and `auto-cost` (also `cost`); `M` is the
+/// φ range and defaults to 1024. The Figure 3 groupings have no spelling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Approach {
     /// Apache-Pig-like relational plan.
@@ -28,25 +34,67 @@ pub enum Approach {
     /// per-cycle exact/partial/broadcast choice and reducer sizing derived
     /// from [`rdf_model::StoreStats`] and the engine's cost model.
     NtgaAutoCost,
+    /// A Figure 3 star-join grouping (two-star bound-property queries).
+    Grouping(Grouping),
 }
 
 impl Approach {
-    /// Report label.
+    /// Report label, as fig `--json` rows carry it.
     pub fn label(self) -> String {
         match self {
-            Approach::Pig => "Pig".into(),
-            Approach::Hive => "Hive".into(),
-            Approach::NtgaEager => "EagerUnnest".into(),
-            Approach::NtgaLazyFull => "LazyUnnest-full".into(),
-            Approach::NtgaLazyPartial(m) => format!("LazyUnnest-phi{m}"),
-            Approach::NtgaAuto(m) => format!("LazyUnnest-auto{m}"),
+            Approach::Pig => RelFlavor::Pig.label().into(),
+            Approach::Hive => RelFlavor::Hive.label().into(),
             Approach::NtgaAutoCost => "CostBased".into(),
+            Approach::Grouping(g) => g.label().into(),
+            hand_picked => hand_picked.strategy().expect("a hand-picked NTGA strategy").label(),
+        }
+    }
+
+    /// The hand-picked NTGA strategy this approach runs; `None` for the
+    /// relational plans, the groupings and the cost-based optimizer.
+    pub fn strategy(self) -> Option<Strategy> {
+        match self {
+            Approach::NtgaEager => Some(Strategy::Eager),
+            Approach::NtgaLazyFull => Some(Strategy::LazyFull),
+            Approach::NtgaLazyPartial(m) => Some(Strategy::LazyPartial(m)),
+            Approach::NtgaAuto(m) => Some(Strategy::Auto(m)),
+            _ => None,
+        }
+    }
+}
+
+impl FromStr for Approach {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Approach, String> {
+        let (name, arg) = match spec.split_once(':') {
+            Some((name, arg)) => (name, Some(arg)),
+            None => (spec, None),
+        };
+        let phi = || {
+            arg.unwrap_or("1024")
+                .parse()
+                .map_err(|_| format!("bad φ range in '{spec}' (expected an integer)"))
+        };
+        match (name, arg) {
+            ("pig", None) => Ok(Approach::Pig),
+            ("hive", None) => Ok(Approach::Hive),
+            ("eager", None) => Ok(Approach::NtgaEager),
+            ("lazy" | "lazyfull" | "lazy-full", None) => Ok(Approach::NtgaLazyFull),
+            ("partial" | "lazy-partial", _) => Ok(Approach::NtgaLazyPartial(phi()?)),
+            ("auto", _) => Ok(Approach::NtgaAuto(phi()?)),
+            ("auto-cost" | "cost", None) => Ok(Approach::NtgaAutoCost),
+            _ => Err(format!(
+                "unknown approach '{spec}' (expected pig, hive, eager, lazy, partial[:M], \
+                 auto[:M] or auto-cost)"
+            )),
         }
     }
 }
 
 /// Run one query with one approach against a triple relation already
-/// loaded at [`TRIPLES_FILE`].
+/// loaded at [`TRIPLES_FILE`]. `label` names the run's jobs and files;
+/// fault draws hash those names, so it fixes which faults the run meets.
 pub fn run_query(
     approach: Approach,
     engine: &Engine,
@@ -54,40 +102,33 @@ pub fn run_query(
     label: &str,
     extract_solutions: bool,
 ) -> Result<QueryRun, PlanError> {
-    let label = format!("{}-{label}", approach.label());
+    let input = TRIPLES_FILE;
     let plan = match approach {
         Approach::Pig | Approach::Hive => {
             let flavor = if approach == Approach::Pig { RelFlavor::Pig } else { RelFlavor::Hive };
-            return relbase::execute(
-                flavor,
-                engine,
-                query,
-                TRIPLES_FILE,
-                &label,
-                extract_solutions,
-            );
+            return relbase::execute(flavor, engine, query, input, label, extract_solutions);
         }
-        Approach::NtgaEager => Strategy::Eager.plan(query)?,
-        Approach::NtgaLazyFull => Strategy::LazyFull.plan(query)?,
-        Approach::NtgaLazyPartial(m) => Strategy::LazyPartial(m).plan(query)?,
-        Approach::NtgaAuto(m) => Strategy::Auto(m).plan(query)?,
+        Approach::Grouping(g) => {
+            return relbase::execute_grouping(g, engine, query, input, label, extract_solutions)
+        }
         Approach::NtgaAutoCost => {
             // ANALYZE step: derive statistics from the relation the engine
             // actually holds, then plan against them under the engine's
             // own cost model and physical limits.
-            let stats = mr_rdf::read_store(engine, TRIPLES_FILE)
-                .map_err(|e| PlanError::Internal(format!("reading {TRIPLES_FILE}: {e}")))?
+            let stats = mr_rdf::read_store(engine, input)
+                .map_err(|e| PlanError::Internal(format!("reading {input}: {e}")))?
                 .stats();
             ntga_core::optimize(query, &stats, &engine.cost, &OptimizerConfig::for_engine(engine))?
         }
+        hand_picked => hand_picked.strategy().expect("a hand-picked NTGA strategy").plan(query)?,
     };
     ntga_core::execute_plan_on(
         DataPlane::Lexical,
         &plan,
         engine,
         query,
-        TRIPLES_FILE,
-        &label,
+        input,
+        label,
         extract_solutions,
     )
 }
@@ -118,10 +159,6 @@ pub struct ClusterConfig {
     /// record sizes, group widths) on every engine this config builds.
     /// Off by default: the map-emit hot path stays allocation-free.
     pub profiling: bool,
-    /// Shuffle sort strategy every engine this config builds uses
-    /// (default: [`SortStrategy::Radix`]; `Comparison` is kept for
-    /// differential testing).
-    pub sort_strategy: SortStrategy,
 }
 
 impl std::fmt::Debug for ClusterConfig {
@@ -136,7 +173,6 @@ impl std::fmt::Debug for ClusterConfig {
             .field("workers", &self.workers)
             .field("trace", &self.trace.as_ref().map(|_| "<sink>"))
             .field("profiling", &self.profiling)
-            .field("sort_strategy", &self.sort_strategy)
             .finish()
     }
 }
@@ -153,7 +189,6 @@ impl Default for ClusterConfig {
             workers: None,
             trace: None,
             profiling: false,
-            sort_strategy: SortStrategy::default(),
         }
     }
 }
@@ -171,8 +206,7 @@ impl ClusterConfig {
             .with_cost(self.cost.clone())
             .with_faults(self.faults.clone())
             .with_recovery(self.recovery)
-            .with_profiling(self.profiling)
-            .with_sort_strategy(self.sort_strategy);
+            .with_profiling(self.profiling);
         if let Some(workers) = self.workers {
             engine = engine.with_workers(workers);
         }
@@ -192,13 +226,6 @@ impl ClusterConfig {
     /// Enable histogram profiling on every engine built from this config.
     pub fn with_profiling(mut self, on: bool) -> Self {
         self.profiling = on;
-        self
-    }
-
-    /// Pick the shuffle sort strategy for every engine built from this
-    /// config (`Radix` by default; `Comparison` for differential runs).
-    pub fn with_sort_strategy(mut self, strategy: SortStrategy) -> Self {
-        self.sort_strategy = strategy;
         self
     }
 
@@ -267,6 +294,19 @@ mod tests {
             assert!(run.succeeded(), "{approach:?}");
             assert_eq!(run.solutions.unwrap(), gold, "{approach:?}");
         }
+
+        // The Figure 3 groupings cover two-star bound-property queries.
+        let q = rdf_query::parse_query(
+            "SELECT * WHERE { ?g <label> ?l . ?g <xGO> ?go . ?go <gl> ?x . }",
+        )
+        .unwrap();
+        let gold = rdf_query::naive::evaluate(&q, &store);
+        for grouping in [Grouping::SjPerCycle, Grouping::SelSjFirst] {
+            let engine = ClusterConfig::default().engine_with(&store);
+            let run = run_query(Approach::Grouping(grouping), &engine, &q, "t", true).unwrap();
+            assert!(run.succeeded(), "{grouping:?}");
+            assert_eq!(run.solutions.unwrap(), gold, "{grouping:?}");
+        }
     }
 
     #[test]
@@ -297,20 +337,49 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        let mut labels: Vec<String> = [
-            Approach::Pig,
-            Approach::Hive,
-            Approach::NtgaEager,
-            Approach::NtgaLazyFull,
-            Approach::NtgaLazyPartial(2),
-            Approach::NtgaAuto(2),
-            Approach::NtgaAutoCost,
-        ]
-        .iter()
-        .map(|a| a.label())
-        .collect();
+        // Golden: the exact labels fig `--json` rows carry.
+        let golden = [
+            (Approach::Pig, "Pig"),
+            (Approach::Hive, "Hive"),
+            (Approach::NtgaEager, "EagerUnnest"),
+            (Approach::NtgaLazyFull, "LazyUnnest(full)"),
+            (Approach::NtgaLazyPartial(16), "LazyUnnest(phi_16)"),
+            (Approach::NtgaAuto(1024), "LazyUnnest(auto,phi_1024)"),
+            (Approach::NtgaAutoCost, "CostBased"),
+            (Approach::Grouping(Grouping::SjPerCycle), "SJ-per-cycle"),
+            (Approach::Grouping(Grouping::SelSjFirst), "Sel-SJ-first"),
+        ];
+        for (approach, label) in golden {
+            assert_eq!(approach.label(), label, "{approach:?}");
+        }
+        let mut labels: Vec<String> = golden.iter().map(|(a, _)| a.label()).collect();
         labels.sort();
         labels.dedup();
-        assert_eq!(labels.len(), 7);
+        assert_eq!(labels.len(), golden.len());
+    }
+
+    #[test]
+    fn every_spelling_parses() {
+        let accepted = [
+            ("pig", Approach::Pig),
+            ("hive", Approach::Hive),
+            ("eager", Approach::NtgaEager),
+            ("lazy", Approach::NtgaLazyFull),
+            ("lazyfull", Approach::NtgaLazyFull),
+            ("lazy-full", Approach::NtgaLazyFull),
+            ("partial", Approach::NtgaLazyPartial(1024)),
+            ("partial:16", Approach::NtgaLazyPartial(16)),
+            ("lazy-partial:32", Approach::NtgaLazyPartial(32)),
+            ("auto", Approach::NtgaAuto(1024)),
+            ("auto:8", Approach::NtgaAuto(8)),
+            ("auto-cost", Approach::NtgaAutoCost),
+            ("cost", Approach::NtgaAutoCost),
+        ];
+        for (spec, approach) in accepted {
+            assert_eq!(spec.parse::<Approach>(), Ok(approach), "{spec}");
+        }
+        for spec in ["magic", "partial:x", "lazy-partial:", "auto:x", "pig:2", "", "Pig"] {
+            assert!(spec.parse::<Approach>().is_err(), "{spec} must be rejected");
+        }
     }
 }

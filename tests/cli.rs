@@ -96,7 +96,7 @@ fn generate_stats_query_compare_pipeline() {
     let text = stdout(&out);
     assert!(text.contains("all completed approaches agree"), "{text}");
     assert!(text.contains("Pig"));
-    assert!(text.contains("LazyUnnest-auto1024"));
+    assert!(text.contains("LazyUnnest(auto,phi_1024)"));
 
     std::fs::remove_dir_all(dir).ok();
 }

@@ -59,8 +59,11 @@ fn query_results_survive_task_failures() {
     let gold = rdf_query::naive::evaluate(&a6.query, &store);
     assert!(!gold.is_empty());
 
+    // Fault draws hash the run label; this one keeps the draws the test's
+    // fault probability and seed were chosen against.
+    let label = "LazyUnnest-auto64-f";
     let clean_engine = ClusterConfig::default().engine_with(&store);
-    let clean = run_query(Approach::NtgaAuto(64), &clean_engine, &a6.query, "f", true).unwrap();
+    let clean = run_query(Approach::NtgaAuto(64), &clean_engine, &a6.query, label, true).unwrap();
     assert_eq!(clean.solutions.as_ref().unwrap(), &gold);
     let clean_retries: u64 = clean.stats.jobs.iter().map(|j| j.task_retries).sum();
     assert_eq!(clean_retries, 0);
@@ -68,7 +71,7 @@ fn query_results_survive_task_failures() {
     let faulty_engine = ClusterConfig::default()
         .engine_with(&store)
         .with_faults(mrsim::FaultConfig::with_probability(0.4, 21));
-    let faulty = run_query(Approach::NtgaAuto(64), &faulty_engine, &a6.query, "f", true).unwrap();
+    let faulty = run_query(Approach::NtgaAuto(64), &faulty_engine, &a6.query, label, true).unwrap();
     assert!(faulty.succeeded(), "{:?}", faulty.stats.failure);
     let retries: u64 = faulty.stats.jobs.iter().map(|j| j.task_retries).sum();
     assert!(retries > 0, "p=0.4 should have forced retries");

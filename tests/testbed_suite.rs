@@ -109,7 +109,7 @@ fn lazy_unnest_writes_less_on_unbound_queries() {
             writes.insert(approach.label(), run.stats.intermediate_write_bytes());
         }
         let hive = writes["Hive"];
-        let lazy = writes["LazyUnnest-full"];
+        let lazy = writes["LazyUnnest(full)"];
         let eager = writes["EagerUnnest"];
         assert!(lazy <= eager, "{}: lazy {lazy} > eager {eager}", tq.id);
         assert!(lazy < hive, "{}: lazy {lazy} >= hive {hive} (expected large savings)", tq.id);
